@@ -55,13 +55,35 @@ parseCliOptions(const std::vector<std::string> &args)
 {
     CliOptions options;
 
-    auto need_value = [&](std::size_t i,
-                          const std::string &flag) -> std::optional<std::string> {
+    auto need_value = [&](std::size_t i) -> std::optional<std::string> {
         if (i + 1 >= args.size())
             return std::nullopt;
-        (void)flag;
         return args[i + 1];
     };
+
+    // Parse the value after flag args[i] into @p out and step i past it.
+    // On a missing or malformed value, returns false with `bad` set.
+    std::string bad;
+    auto number = [&]<typename T>(std::size_t &i, T &out) {
+        if (i + 1 >= args.size()) {
+            bad = args[i] + " needs a value";
+            return false;
+        }
+        const std::optional<T> parsed = parseNumber<T>(args[i + 1]);
+        if (!parsed) {
+            bad = args[i] + " got '" + args[i + 1] +
+                  "', which is not a valid number";
+            return false;
+        }
+        out = *parsed;
+        ++i;
+        return true;
+    };
+
+    bool acrf_set = false;
+    bool pcrf_set = false;
+    auto &policy = options.config.policy;
+    auto &verify = options.config.verify;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
@@ -77,9 +99,9 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (arg == "--diff-check") {
             options.diffCheck = true;
         } else if (arg == "--unified-memory") {
-            options.config.policy.unifiedMemory = true;
+            policy.unifiedMemory = true;
         } else if (arg == "--app") {
-            const auto value = need_value(i, arg);
+            const auto value = need_value(i);
             if (!value)
                 return fail("--app needs a value");
             ++i;
@@ -93,7 +115,7 @@ parseCliOptions(const std::vector<std::string> &args)
                 options.apps.push_back(name);
             }
         } else if (arg == "--policy") {
-            const auto value = need_value(i, arg);
+            const auto value = need_value(i);
             if (!value)
                 return fail("--policy needs a value");
             ++i;
@@ -114,61 +136,45 @@ parseCliOptions(const std::vector<std::string> &args)
             if (options.policies.empty())
                 return fail("--policy selected nothing");
         } else if (arg == "--scale") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--scale needs a value");
-            ++i;
-            options.gridScale = std::atof(value->c_str());
+            if (!number(i, options.gridScale))
+                return fail(bad);
             if (options.gridScale <= 0.0)
                 return fail("--scale must be positive");
         } else if (arg == "--jobs") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--jobs needs a value");
-            ++i;
-            const int jobs = std::atoi(value->c_str());
-            if (jobs <= 0)
+            if (!number(i, options.jobs))
+                return fail(bad);
+            if (options.jobs == 0)
                 return fail("--jobs must be positive");
-            options.jobs = static_cast<unsigned>(jobs);
         } else if (arg == "--sms") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--sms needs a value");
-            ++i;
-            const int sms = std::atoi(value->c_str());
-            if (sms <= 0)
+            if (!number(i, options.config.numSms))
+                return fail(bad);
+            if (options.config.numSms == 0)
                 return fail("--sms must be positive");
-            options.config.numSms = static_cast<unsigned>(sms);
         } else if (arg == "--acrf" || arg == "--pcrf") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail(arg + " needs a value (KB)");
-            ++i;
-            const long kb = std::atol(value->c_str());
-            if (kb <= 0)
+            unsigned kb = 0;
+            if (!number(i, kb))
+                return fail(bad);
+            if (kb == 0)
                 return fail(arg + " must be positive KB");
-            if (arg == "--acrf")
-                options.config.policy.acrfBytes = kb * 1024ull;
-            else
-                options.config.policy.pcrfBytes = kb * 1024ull;
+            if (arg == "--acrf") {
+                policy.acrfBytes = kb * 1024ull;
+                acrf_set = true;
+            } else {
+                policy.pcrfBytes = kb * 1024ull;
+                pcrf_set = true;
+            }
         } else if (arg == "--srp-ratio") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--srp-ratio needs a value");
-            ++i;
-            const double ratio = std::atof(value->c_str());
-            if (ratio < 0.0 || ratio >= 1.0)
+            if (!number(i, policy.srpRatio))
+                return fail(bad);
+            if (policy.srpRatio < 0.0 || policy.srpRatio >= 1.0)
                 return fail("--srp-ratio must be in [0, 1)");
-            options.config.policy.srpRatio = ratio;
         } else if (arg == "--growth-factor") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--growth-factor needs a value");
-            ++i;
-            options.config.policy.pendingGrowthFactor =
-                std::atof(value->c_str());
+            if (!number(i, policy.pendingGrowthFactor))
+                return fail(bad);
+            if (policy.pendingGrowthFactor < 0.0)
+                return fail("--growth-factor must be >= 0");
         } else if (arg == "--sched") {
-            const auto value = need_value(i, arg);
+            const auto value = need_value(i);
             if (!value)
                 return fail("--sched needs gto or lrr");
             ++i;
@@ -179,43 +185,21 @@ parseCliOptions(const std::vector<std::string> &args)
             else
                 return fail("--sched must be gto or lrr");
         } else if (arg == "--seed") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--seed needs a value");
-            ++i;
-            options.config.seed =
-                static_cast<std::uint64_t>(std::atoll(value->c_str()));
+            if (!number(i, options.config.seed))
+                return fail(bad);
         } else if (arg == "--max-cycles") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--max-cycles needs a value");
-            ++i;
-            const long long cap = std::atoll(value->c_str());
-            if (cap <= 0)
+            if (!number(i, options.config.maxCycles))
+                return fail(bad);
+            if (options.config.maxCycles == 0)
                 return fail("--max-cycles must be positive");
-            options.config.maxCycles = static_cast<Cycle>(cap);
         } else if (arg == "--audit-interval") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--audit-interval needs a value");
-            ++i;
-            const long long interval = std::atoll(value->c_str());
-            if (interval < 0)
-                return fail("--audit-interval must be >= 0");
-            options.config.verify.auditInterval =
-                static_cast<Cycle>(interval);
+            if (!number(i, verify.auditInterval))
+                return fail(bad);
         } else if (arg == "--audit-edge-every") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--audit-edge-every needs a value");
-            ++i;
-            const long long every = std::atoll(value->c_str());
-            if (every < 0)
-                return fail("--audit-edge-every must be >= 0");
-            options.config.verify.auditEdgeEvery =
-                static_cast<unsigned>(every);
+            if (!number(i, verify.auditEdgeEvery))
+                return fail(bad);
         } else if (arg == "--idle-skip") {
-            const auto value = need_value(i, arg);
+            const auto value = need_value(i);
             if (!value)
                 return fail("--idle-skip needs wheel, scan, or step");
             ++i;
@@ -228,78 +212,31 @@ parseCliOptions(const std::vector<std::string> &args)
             else
                 return fail("--idle-skip must be wheel, scan, or step");
         } else if (arg == "--watchdog-cycles") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--watchdog-cycles needs a value");
-            ++i;
-            const long long cycles = std::atoll(value->c_str());
-            if (cycles < 0)
-                return fail("--watchdog-cycles must be >= 0");
-            options.config.verify.watchdogCycles =
-                static_cast<Cycle>(cycles);
+            if (!number(i, verify.watchdogCycles))
+                return fail(bad);
         } else if (arg == "--fault-seed") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--fault-seed needs a value");
-            ++i;
-            options.config.verify.fault.seed =
-                static_cast<std::uint64_t>(std::atoll(value->c_str()));
+            if (!number(i, verify.fault.seed))
+                return fail(bad);
         } else if (arg == "--fault-dram" || arg == "--fault-pcrf" ||
                    arg == "--fault-bitvec") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail(arg + " needs a probability");
-            ++i;
-            const double prob = std::atof(value->c_str());
+            double prob = 0.0;
+            if (!number(i, prob))
+                return fail(bad);
             if (prob < 0.0 || prob > 1.0)
                 return fail(arg + " must be in [0, 1]");
             if (arg == "--fault-dram")
-                options.config.verify.fault.dramDelayProb = prob;
+                verify.fault.dramDelayProb = prob;
             else if (arg == "--fault-pcrf")
-                options.config.verify.fault.pcrfFullProb = prob;
+                verify.fault.pcrfFullProb = prob;
             else
-                options.config.verify.fault.bitvecMissProb = prob;
-        } else if (arg == "--fault-worker" || arg == "--fault-hang") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail(arg + " needs a probability");
-            ++i;
-            const double prob = std::atof(value->c_str());
-            if (prob < 0.0 || prob > 1.0)
-                return fail(arg + " must be in [0, 1]");
-            if (arg == "--fault-worker")
-                options.config.verify.fault.workerExceptionProb = prob;
-            else
-                options.config.verify.fault.jobHangProb = prob;
+                verify.fault.bitvecMissProb = prob;
         } else if (arg == "--job-timeout-ms") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--job-timeout-ms needs a value");
-            ++i;
-            const double ms = std::atof(value->c_str());
-            if (ms < 0.0)
+            if (!number(i, verify.wallTimeoutMs))
+                return fail(bad);
+            if (verify.wallTimeoutMs < 0.0)
                 return fail("--job-timeout-ms must be >= 0");
-            options.jobTimeoutMs = ms;
-        } else if (arg == "--retries") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--retries needs a value");
-            ++i;
-            const int retries = std::atoi(value->c_str());
-            if (retries < 0)
-                return fail("--retries must be >= 0");
-            options.retries = static_cast<unsigned>(retries);
-        } else if (arg == "--retry-backoff-ms") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--retry-backoff-ms needs a value");
-            ++i;
-            const double ms = std::atof(value->c_str());
-            if (ms <= 0.0)
-                return fail("--retry-backoff-ms must be positive");
-            options.retryBackoffMs = ms;
         } else if (arg == "--resume") {
-            const auto value = need_value(i, arg);
+            const auto value = need_value(i);
             if (!value)
                 return fail("--resume needs a journal path");
             ++i;
@@ -309,15 +246,20 @@ parseCliOptions(const std::vector<std::string> &args)
         }
     }
 
-    // FineReg's split must stay consistent with the register file when
-    // only one side was overridden.
-    const auto rf = options.config.sm.regFileBytes;
-    auto &policy = options.config.policy;
-    if (policy.acrfBytes + policy.pcrfBytes != rf) {
-        if (policy.acrfBytes < rf)
-            policy.pcrfBytes = rf - policy.acrfBytes;
-        else
-            return fail("--acrf must be smaller than the register file");
+    // FineReg's split must add up to the register file: one given side
+    // sizes the other, and a given pair must already agree.
+    const std::uint64_t rf = options.config.sm.regFileBytes;
+    if (acrf_set && pcrf_set) {
+        if (policy.acrfBytes + policy.pcrfBytes != rf)
+            return fail("--acrf + --pcrf must equal the " +
+                        std::to_string(rf / 1024) + " KB register file");
+    } else if (acrf_set || pcrf_set) {
+        const std::uint64_t given =
+            acrf_set ? policy.acrfBytes : policy.pcrfBytes;
+        if (given >= rf)
+            return fail(std::string(acrf_set ? "--acrf" : "--pcrf") +
+                        " must be smaller than the register file");
+        (acrf_set ? policy.pcrfBytes : policy.acrfBytes) = rf - given;
     }
 
     ParseResult result;
@@ -339,7 +281,8 @@ cliUsage()
            "                      FINEREG_JOBS env, then hardware threads)\n"
            "  --sms N             number of SMs (default 16)\n"
            "  --acrf KB           FineReg ACRF size (PCRF = RF - ACRF)\n"
-           "  --pcrf KB           FineReg PCRF size\n"
+           "  --pcrf KB           FineReg PCRF size (ACRF = RF - PCRF); with\n"
+           "                      both flags the sizes must add up to the RF\n"
            "  --srp-ratio X       RegMutex shared-pool fraction\n"
            "  --growth-factor X   pending-growth damper\n"
            "  --sched gto|lrr     warp scheduler (default gto)\n"
@@ -363,19 +306,13 @@ cliUsage()
            "  --fault-dram P      injected DRAM-delay probability\n"
            "  --fault-pcrf P      injected PCRF-full probability\n"
            "  --fault-bitvec P    injected bit-vector-cache-miss probability\n"
-           "  --fault-worker P    injected dispatch-exception probability\n"
-           "                      (host-level; never changes sim results)\n"
-           "  --fault-hang P      injected dispatch-hang probability\n"
-           "                      (host-level; never changes sim results)\n"
-           "  --job-timeout-ms MS per-attempt wall-clock deadline enforced\n"
-           "                      by the job guard (0 = off, default)\n"
-           "  --retries N         retry budget for transient job failures\n"
-           "                      (timeouts, worker exceptions; default 0)\n"
-           "  --retry-backoff-ms MS  base of the seeded exponential retry\n"
-           "                      backoff (default 5)\n"
+           "  --job-timeout-ms MS wall-clock budget per run; a run that\n"
+           "                      exceeds it fails with a timeout error\n"
+           "                      (exit 3; 0 = off, default)\n"
            "  --resume FILE       journal completed jobs to FILE (created\n"
            "                      if missing) and replay jobs already\n"
-           "                      recorded there instead of re-running\n"
+           "                      recorded there instead of re-running;\n"
+           "                      failed and timed-out jobs re-run\n"
            "  --csv               CSV output (one row per run)\n"
            "  --diff-check        diff every run's architectural end state\n"
            "                      against the reference executor\n"

@@ -8,8 +8,12 @@
 #ifndef FINEREG_CORE_CLI_OPTIONS_HH
 #define FINEREG_CORE_CLI_OPTIONS_HH
 
+#include <charconv>
+#include <cmath>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "core/gpu_config.hh"
@@ -48,18 +52,6 @@ struct CliOptions
      */
     bool diffCheck = false;
 
-    // Resilience knobs (JobGuard + SweepJournal).
-
-    /** Per-attempt wall-clock deadline in ms; 0 disables (default). */
-    double jobTimeoutMs = 0.0;
-
-    /** Retry budget per job for transient failures (timeouts, worker
-     * exceptions); 0 never retries (default). */
-    unsigned retries = 0;
-
-    /** Base of the seeded exponential retry backoff, in ms. */
-    double retryBackoffMs = 5.0;
-
     /** Sweep journal path: completed jobs are recorded as they finish and
      * jobs already recorded "ok" are replayed instead of re-run. Empty
      * (default) disables journaling. */
@@ -84,7 +76,8 @@ struct ParseResult
  *   --jobs N                  parallel simulation jobs (default:
  *                             FINEREG_JOBS env, then hardware threads)
  *   --sms N                   number of SMs
- *   --acrf KB / --pcrf KB     FineReg register file split
+ *   --acrf KB / --pcrf KB     FineReg register file split (one side sizes
+ *                             the other; a pair must add up to the RF)
  *   --srp-ratio X             RegMutex shared-pool fraction
  *   --growth-factor X         pending-growth damper
  *   --sched gto|lrr           warp scheduler
@@ -97,11 +90,7 @@ struct ParseResult
  *   --fault-dram P            injected DRAM-delay probability
  *   --fault-pcrf P            injected PCRF-full probability
  *   --fault-bitvec P          injected bit-vector-cache-miss probability
- *   --fault-worker P          injected dispatch-exception probability
- *   --fault-hang P            injected dispatch-hang probability
- *   --job-timeout-ms MS       per-attempt wall-clock deadline (0 = off)
- *   --retries N               retry budget for transient job failures
- *   --retry-backoff-ms MS     seeded exponential backoff base
+ *   --job-timeout-ms MS       per-run wall-clock budget (0 = off)
  *   --resume FILE             journal completed jobs to FILE and replay
  *                             any already recorded there
  *   --diff-check              diff end states against the reference executor
@@ -109,8 +98,32 @@ struct ParseResult
  *   --verbose                 enable inform() logging
  *   --list-apps               print the suite and exit
  *   --help                    print usage and exit
+ *
+ * Numeric values must parse in full (no trailing text) and be finite;
+ * anything else is a usage error.
  */
 ParseResult parseCliOptions(const std::vector<std::string> &args);
+
+/**
+ * Parse all of @p text as a T: nullopt when it is empty, has trailing
+ * characters, is out of T's range, or (for floating point) is not finite.
+ * Unsigned T rejects a leading minus sign.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(const std::string &text)
+{
+    T value{};
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last)
+        return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value))
+            return std::nullopt;
+    }
+    return value;
+}
 
 /** The usage text --help prints. */
 std::string cliUsage();

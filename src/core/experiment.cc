@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "common/log.hh"
-#include "core/parallel_runner.hh"
 
 namespace finereg
 {
@@ -41,7 +40,7 @@ Experiment::runSweep(const std::vector<GpuConfig> &configs,
         }
     }
 
-    ParallelRunner runner({.jobs = jobs, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = jobs, .failFast = false});
     std::vector<SimResult> flat = runner.run(std::move(matrix));
 
     std::vector<std::vector<SimResult>> out(configs.size());
@@ -54,133 +53,39 @@ Experiment::runSweep(const std::vector<GpuConfig> &configs,
 }
 
 ParallelRunner::Job
-Experiment::makeGuardedJob(
-    std::shared_ptr<const Kernel> kernel, const GpuConfig &config,
-    std::string app, std::string key, JobGuard &guard,
-    SweepJournal *journal,
-    std::function<void(GpuConfig &, const std::string &, unsigned)>
-        per_attempt)
+Experiment::makeSweepJob(std::shared_ptr<const Kernel> kernel,
+                         const GpuConfig &config, std::string app,
+                         SweepJournal *journal)
 {
-    using MsClock = std::chrono::steady_clock;
-
-    if (journal) {
-        const JournalEntry *prev = journal->find(key);
-        if (prev && prev->ok())
-            return [result = prev->result] { return result; };
+    if (!journal) {
+        return [kernel = std::move(kernel), config] {
+            return Simulator::run(config, *kernel);
+        };
     }
 
-    JobGuard::Attempt run_attempt =
-        [config, kernel = std::move(kernel), key,
-         per_attempt = std::move(per_attempt)](
-            unsigned attempt,
-            std::shared_ptr<CancelToken> token) -> SimResult {
-        GpuConfig cfg = config;
-        cfg.verify.cancel = std::move(token);
-        if (per_attempt)
-            per_attempt(cfg, key, attempt);
-        return Simulator::run(cfg, *kernel);
-    };
+    std::string key = makeSweepJobKey(*kernel, config).toString();
+    const JournalEntry *prev = journal->find(key);
+    if (prev && prev->ok())
+        return [result = prev->result] { return result; };
 
-    return [guarded = guard.wrap(key, std::move(run_attempt)),
-            key = std::move(key), app = std::move(app), journal] {
-        const auto start = MsClock::now();
-        SimResult result = guarded();
-        const double wall_ms = std::chrono::duration<double, std::milli>(
-                                   MsClock::now() - start)
-                                   .count();
-        if (journal) {
-            JournalEntry entry;
-            entry.key = key;
-            entry.app = app;
-            entry.status = !result.failed ? "ok"
-                           : result.error.kind == SimErrorKind::Quarantined
-                               ? "quarantined"
-                               : "failed";
-            entry.wallMs = wall_ms;
-            entry.result = result;
-            // Journal entries carry condensed stats only.
-            entry.result.archState.reset();
-            entry.result.stallDiagnostic.clear();
-            journal->append(entry);
-        }
+    return [kernel = std::move(kernel), config, app = std::move(app),
+            key = std::move(key), journal] {
+        const auto start = std::chrono::steady_clock::now();
+        SimResult result = Simulator::run(config, *kernel);
+        JournalEntry entry;
+        entry.key = key;
+        entry.app = app;
+        entry.status = result.failed ? "failed" : "ok";
+        entry.wallMs = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+        entry.result = result;
+        // Journal entries carry condensed stats only.
+        entry.result.archState.reset();
+        entry.result.stallDiagnostic.clear();
+        journal->append(entry);
         return result;
     };
-}
-
-GuardedSweepOutcome
-Experiment::runGuardedSweep(const std::vector<GpuConfig> &configs,
-                            const GuardedSweepOptions &options)
-{
-    const auto &apps = Suite::all();
-
-    GuardedSweepOutcome out;
-    out.results.resize(configs.size());
-    out.keys.assign(configs.size(),
-                    std::vector<std::string>(apps.size()));
-
-    // Build each kernel once; kernels are immutable after finalization and
-    // shared across configs, attempts, and journal-key computation.
-    std::vector<std::shared_ptr<const Kernel>> kernels;
-    kernels.reserve(apps.size());
-    for (const auto &app : apps)
-        kernels.push_back(Suite::makeKernel(app, options.gridScale));
-
-    std::unique_ptr<JobGuard> owned;
-    JobGuard *guard = options.guardInstance;
-    if (!guard) {
-        owned = std::make_unique<JobGuard>(options.guard);
-        guard = owned.get();
-    }
-
-    std::vector<ParallelRunner::Job> matrix;
-    matrix.reserve(configs.size() * apps.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (std::size_t a = 0; a < apps.size(); ++a) {
-            const std::string key =
-                makeSweepJobKey(*kernels[a], configs[c]).toString();
-            out.keys[c][a] = key;
-            matrix.push_back(makeGuardedJob(kernels[a], configs[c],
-                                            apps[a].abbrev, key, *guard,
-                                            options.journal,
-                                            options.perAttempt));
-        }
-    }
-
-    ParallelRunner runner(
-        {.jobs = options.jobs, .failFast = false, .stop = options.stop});
-    std::vector<SimResult> flat = runner.run(std::move(matrix));
-
-    for (const SimResult &result : flat) {
-        if (result.fromJournal) {
-            ++out.replayed;
-            continue;
-        }
-        if (!result.failed) {
-            ++out.executed;
-            continue;
-        }
-        ++out.failed;
-        if (result.error.kind == SimErrorKind::Cancelled)
-            ++out.cancelled;
-        else if (result.error.kind == SimErrorKind::Quarantined)
-            ++out.quarantined;
-    }
-    out.guardStats = guard->stats();
-    out.quarantine = guard->quarantined();
-
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        out.results[c].assign(
-            std::make_move_iterator(flat.begin() + c * apps.size()),
-            std::make_move_iterator(flat.begin() + (c + 1) * apps.size()));
-    }
-    return out;
-}
-
-GuardedSweepOutcome
-Experiment::runGuardedSuite(const GpuConfig &config,
-                            const GuardedSweepOptions &options)
-{
-    return runGuardedSweep({config}, options);
 }
 
 std::map<std::string, double>

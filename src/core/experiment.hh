@@ -8,81 +8,18 @@
 #ifndef FINEREG_CORE_EXPERIMENT_HH
 #define FINEREG_CORE_EXPERIMENT_HH
 
-#include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/job_guard.hh"
+#include "core/parallel_runner.hh"
 #include "core/simulator.hh"
 #include "core/sweep_journal.hh"
 #include "workloads/suite.hh"
 
 namespace finereg
 {
-
-/** Knobs for Experiment::runGuardedSweep / runGuardedSuite. */
-struct GuardedSweepOptions
-{
-    double gridScale = 1.0;
-
-    /** Worker count (ParallelRunner semantics: 0 = auto, 1 = serial). */
-    unsigned jobs = 0;
-
-    /** Deadline/retry/quarantine policy applied to every job. */
-    GuardOptions guard;
-
-    /**
-     * Optional journal. Jobs whose key has an "ok" entry are replayed from
-     * it (bit-identical, SimResult::fromJournal set) instead of being
-     * re-simulated; every job that does run is appended as it completes.
-     * Missing, failed, quarantined, and cancelled entries all re-run.
-     */
-    SweepJournal *journal = nullptr;
-
-    /** Optional external guard (the chaos harness needs killAll() on the
-     * live instance); when null the sweep owns a private one. */
-    JobGuard *guardInstance = nullptr;
-
-    /** External kill switch forwarded to ParallelOptions::stop: pending
-     * jobs are skipped as Cancelled once set. */
-    std::shared_ptr<const std::atomic<bool>> stop;
-
-    /**
-     * Per-attempt config hook, called after the cancel token is installed
-     * and before the Gpu is built. The chaos harness uses it to arm
-     * host-level fault sites on selected (key, attempt) pairs; the hook
-     * must only touch knobs excluded from configFingerprint or resumed
-     * sweeps lose their key identity.
-     */
-    std::function<void(GpuConfig &config, const std::string &key,
-                       unsigned attempt)>
-        perAttempt;
-};
-
-/** Everything a guarded sweep learns, beyond the result matrix. */
-struct GuardedSweepOutcome
-{
-    /** results[c][a] = app a under configs[c], suite order (same contract
-     * as Experiment::runSweep, including failed/cancelled annotations). */
-    std::vector<std::vector<SimResult>> results;
-
-    /** keys[c][a] = journal key of that cell (repro + resume identity). */
-    std::vector<std::vector<std::string>> keys;
-
-    unsigned replayed = 0; ///< Cells served from the journal.
-    unsigned executed = 0; ///< Cells that ran and succeeded.
-    unsigned failed = 0;   ///< Cells with a terminal failure (any kind).
-    unsigned cancelled = 0;    ///< Failed cells killed externally.
-    unsigned quarantined = 0;  ///< Failed cells skipped via quarantine.
-
-    JobGuard::Stats guardStats;
-    std::vector<QuarantineEntry> quarantine;
-
-    bool allOk() const { return failed == 0; }
-};
 
 class Experiment
 {
@@ -118,34 +55,18 @@ class Experiment
              unsigned jobs = 0);
 
     /**
-     * runSweep with the resilience layer: every job runs under a JobGuard
-     * (wall-clock deadline, bounded retry with seeded backoff, quarantine)
-     * and is optionally journaled/resumed. The sweep always completes: a
-     * failing cell is annotated in place, never fatal to its siblings.
+     * Build one pool job that runs @p kernel under @p config. The config
+     * carries the job's wall-clock budget (verify.wallTimeoutMs) and the
+     * sweep-wide kill switch (verify.cancel). With a @p journal, a job
+     * whose key has an "ok" entry replays it (bit-identical,
+     * SimResult::fromJournal set) instead of re-simulating, and a job that
+     * runs appends its outcome as it completes; failed and cancelled
+     * entries re-run on the next resume. @p app is recorded in the
+     * journal entry.
      */
-    static GuardedSweepOutcome
-    runGuardedSweep(const std::vector<GpuConfig> &configs,
-                    const GuardedSweepOptions &options);
-
-    /** Single-config convenience wrapper over runGuardedSweep. */
-    static GuardedSweepOutcome
-    runGuardedSuite(const GpuConfig &config,
-                    const GuardedSweepOptions &options);
-
-    /**
-     * Build one guarded, journaled pool job for (kernel, config): replays
-     * from @p journal when an "ok" entry exists for @p key, otherwise
-     * wraps a Simulator::run attempt in @p guard and appends the outcome
-     * to the journal as the job completes. This is the building block
-     * under runGuardedSweep, shared by the CLI drivers (which fan custom
-     * app x policy matrices rather than the full suite).
-     */
-    static ParallelRunner::Job makeGuardedJob(
+    static ParallelRunner::Job makeSweepJob(
         std::shared_ptr<const Kernel> kernel, const GpuConfig &config,
-        std::string app, std::string key, JobGuard &guard,
-        SweepJournal *journal,
-        std::function<void(GpuConfig &, const std::string &, unsigned)>
-            per_attempt = {});
+        std::string app, SweepJournal *journal);
 
     /** Per-app IPC of @p results divided by @p baseline (paired by
      * kernel name). */

@@ -136,17 +136,11 @@ ParallelRunner::runAll(std::vector<Job> jobs)
 
     std::atomic<bool> cancel{false};
     const bool fail_fast = options_.failFast;
-    const std::shared_ptr<const std::atomic<bool>> stop = options_.stop;
 
     auto run_at = [&](std::size_t index) {
         if (fail_fast && cancel.load(std::memory_order_acquire)) {
             outcome.results[index] = cancelledResult(
                 "cancelled by fail-fast after an earlier failure");
-            return;
-        }
-        if (stop && stop->load(std::memory_order_acquire)) {
-            outcome.results[index] =
-                cancelledResult("cancelled by an external stop request");
             return;
         }
         const auto start = Clock::now();
@@ -190,9 +184,7 @@ ParallelRunner::runAll(std::vector<Job> jobs)
             thread.join();
     }
 
-    outcome.cancelled =
-        (fail_fast && cancel.load(std::memory_order_acquire)) ||
-        (stop && stop->load(std::memory_order_acquire));
+    outcome.cancelled = fail_fast && cancel.load(std::memory_order_acquire);
     outcome.totalWallMs = elapsedMs(batch_start);
     return outcome;
 }

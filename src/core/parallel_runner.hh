@@ -12,9 +12,7 @@
 #ifndef FINEREG_CORE_PARALLEL_RUNNER_HH
 #define FINEREG_CORE_PARALLEL_RUNNER_HH
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/simulator.hh"
@@ -38,15 +36,6 @@ struct ParallelOptions
      * report SimErrorKind::Cancelled. Running jobs finish normally.
      */
     bool failFast = false;
-
-    /**
-     * External kill switch: when non-null and set, jobs that have not
-     * started yet are skipped with SimErrorKind::Cancelled (like
-     * fail-fast, but triggered from outside the batch — the chaos
-     * harness's mid-sweep kill). Running jobs are not interrupted here;
-     * interrupt those via their CancelToken (JobGuard::killAll).
-     */
-    std::shared_ptr<const std::atomic<bool>> stop;
 };
 
 class ParallelRunner
@@ -91,18 +80,16 @@ class ParallelRunner
      */
     static unsigned resolveJobs(unsigned requested = 0);
 
-    /**
-     * Run @p job, converting any escaping exception into a failed
-     * SimResult (SimException keeps its typed error; anything else
-     * becomes WorkerException). This is the exact per-job wrapper runAll
-     * applies; JobGuard reuses it so retry attempts see the same failure
-     * taxonomy whether or not they run on the pool.
-     */
-    static SimResult runCaptured(const Job &job);
-
     const ParallelOptions &options() const { return options_; }
 
   private:
+    /**
+     * Run @p job, converting any escaping exception into a failed
+     * SimResult (SimException keeps its typed error; anything else
+     * becomes WorkerException).
+     */
+    static SimResult runCaptured(const Job &job);
+
     ParallelOptions options_;
 };
 

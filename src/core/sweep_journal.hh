@@ -11,7 +11,7 @@
  * needs for its result cache.
  *
  * File format (extension .sweep.jsonl):
- *   line 1   {"schema":"finereg-sweep-journal","version":1}
+ *   line 1   {"schema":"finereg-sweep-journal","version":2}
  *   line 2.. one flat JSON object per completed job
  * A version mismatch is rejected with a clear error, never misparsed;
  * trailing garbage (a line torn by a crash mid-append) is dropped with a
@@ -45,8 +45,8 @@ std::uint64_t kernelFingerprint(const Kernel &kernel);
 /**
  * Stable FNV-1a fingerprint over every result-affecting GpuConfig knob
  * EXCEPT the policy kind and the seed (those are separate key parts) and
- * the runtime-only members (the cancel token, host-level fault sites —
- * dispatch exceptions and hangs never change simulated results).
+ * the runtime-only members (the wall-clock budget and the cancel token,
+ * which can abort a run but never change a completed one).
  */
 std::uint64_t configFingerprint(const GpuConfig &config);
 
@@ -70,7 +70,7 @@ struct JournalEntry
 {
     std::string key;
     std::string app;    ///< Suite abbreviation (repro convenience).
-    std::string status; ///< "ok", "failed", or "quarantined".
+    std::string status; ///< "ok" or "failed".
     double wallMs = 0.0;
     SimResult result; ///< Full condensed result (archState excluded).
 
@@ -80,7 +80,7 @@ struct JournalEntry
 class SweepJournal
 {
   public:
-    static constexpr unsigned kVersion = 1;
+    static constexpr unsigned kVersion = 2;
     static constexpr const char *kSchema = "finereg-sweep-journal";
 
     /**

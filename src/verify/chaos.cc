@@ -1,74 +1,17 @@
 #include "verify/chaos.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <thread>
-
-#include "common/rng.hh"
 
 namespace finereg
 {
 
 namespace
 {
-
-constexpr std::uint64_t kVictimSeed = 0xdeadc0de5eedull;
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-enum class ChaosFault
-{
-    None,
-    Exception, ///< Worker throws at dispatch; retried clean.
-    Hang,      ///< Short benign hang at dispatch; run then proceeds.
-};
-
-/** Pure function of (seed, key, attempt): the whole fault schedule. Faults
- * land on attempt 0 only, so any retry budget >= 1 converges. */
-ChaosFault
-decideFault(const ChaosOptions &options, const std::string &key,
-            unsigned attempt)
-{
-    if (attempt != 0)
-        return ChaosFault::None;
-    Rng rng(options.seed ^ fnv1a(key) ^ 0x9e3779b97f4a7c15ull);
-    const double draw = rng.uniform();
-    if (draw < options.exceptionProb)
-        return ChaosFault::Exception;
-    if (draw < options.exceptionProb + options.hangProb)
-        return ChaosFault::Hang;
-    return ChaosFault::None;
-}
-
-/**
- * Make the host-level fault sites armable without enabling the in-sim
- * injection points: FaultConfig's master switch is its seed, and the
- * default in-sim probabilities are nonzero, so a config that had faults
- * off needs them explicitly zeroed when we flip the seed on.
- */
-void
-armHostFaults(GpuConfig &config, std::uint64_t seed)
-{
-    FaultConfig &fault = config.verify.fault;
-    if (fault.enabled())
-        return;
-    fault.seed = seed | 1;
-    fault.dramDelayProb = 0.0;
-    fault.pcrfFullProb = 0.0;
-    fault.bitvecMissProb = 0.0;
-}
 
 bool
 sameDouble(double a, double b)
@@ -77,10 +20,29 @@ sameDouble(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-void
-sleepMs(double ms)
+/**
+ * One pass over the configs x apps matrix through @p journal: cells with an
+ * "ok" entry replay, the rest run on @p jobs workers with @p kill installed
+ * as every job's cancel token. results[c * apps + a] = app a, configs[c].
+ */
+std::vector<SimResult>
+journaledSweep(const std::vector<GpuConfig> &configs,
+               const std::vector<std::shared_ptr<const Kernel>> &kernels,
+               SweepJournal &journal, unsigned jobs,
+               const std::shared_ptr<CancelToken> &kill)
 {
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+    const auto &apps = Suite::all();
+    std::vector<ParallelRunner::Job> matrix;
+    matrix.reserve(configs.size() * kernels.size());
+    for (GpuConfig config : configs) {
+        config.verify.cancel = kill;
+        for (std::size_t a = 0; a < kernels.size(); ++a) {
+            matrix.push_back(Experiment::makeSweepJob(
+                kernels[a], config, apps[a].abbrev, &journal));
+        }
+    }
+    return ParallelRunner({.jobs = jobs, .failFast = false})
+        .run(std::move(matrix));
 }
 
 } // namespace
@@ -143,11 +105,11 @@ std::string
 ChaosReport::summary() const
 {
     std::ostringstream oss;
-    oss << (passed ? "chaos soak PASSED" : "chaos soak FAILED") << ": "
-        << totalJobs << " jobs/sweep, " << killedJobs << " killed, "
-        << replayedJobs << " replayed from journal on resume, "
-        << injectedFaults << " faults injected, " << timeouts
-        << " deadline timeouts, " << retries << " retries";
+    oss << (passed ? "kill-and-resume soak PASSED"
+                   : "kill-and-resume soak FAILED")
+        << ": " << totalJobs << " jobs/sweep, " << killedJobs
+        << " killed, " << replayedJobs
+        << " replayed from journal on resume";
     if (!mismatches.empty()) {
         oss << "; " << mismatches.size() << " failure(s):";
         for (const std::string &m : mismatches)
@@ -169,39 +131,24 @@ runChaosSoak(const ChaosOptions &options)
     report.totalJobs =
         static_cast<unsigned>(configs.size() * apps.size());
 
-    // Ground truth: clean, serial, unguarded.
+    // Ground truth: clean, serial, unjournaled.
     const auto baseline =
         Experiment::runSweep(configs, options.gridScale, /*jobs=*/1);
 
-    std::atomic<unsigned> injected{0};
-    auto chaos_hook = [opts = options, &injected](GpuConfig &cfg,
-                                                  const std::string &key,
-                                                  unsigned attempt) {
-        const ChaosFault fault = decideFault(opts, key, attempt);
-        if (fault == ChaosFault::None)
-            return;
-        injected.fetch_add(1, std::memory_order_relaxed);
-        armHostFaults(cfg, opts.seed ^ fnv1a(key));
-        if (fault == ChaosFault::Exception) {
-            cfg.verify.fault.workerExceptionProb = 1.0;
-        } else {
-            cfg.verify.fault.jobHangProb = 1.0;
-            cfg.verify.fault.jobHangSliceMs = 1.0;
-            cfg.verify.fault.jobHangMaxMs = opts.benignHangMs;
-        }
-    };
-
-    GuardOptions guard_options;
-    guard_options.retries = options.retries;
-    guard_options.backoffBaseMs = 0.5;
-    guard_options.backoffMaxMs = 2.0;
+    // Kernels are immutable after finalization: build each once and share
+    // it across configs and rounds.
+    std::vector<std::shared_ptr<const Kernel>> kernels;
+    kernels.reserve(apps.size());
+    for (const auto &app : apps)
+        kernels.push_back(Suite::makeKernel(app, options.gridScale));
 
     // Start from a clean journal: the soak owns this path.
     std::remove(options.journalPath.c_str());
 
-    // Interrupted rounds: kill the sweep mid-flight (stop flag drops
-    // pending jobs, killAll() aborts in-flight attempts), each round
-    // reloading the journal from disk exactly like a --resume would.
+    // Killed rounds: each reopens the journal from disk exactly like a
+    // --resume would, then cancels the shared token mid-sweep. In-flight
+    // runs abort at their next loop iteration; jobs that start afterwards
+    // are cancelled at their first.
     for (unsigned round = 0; round < options.rounds; ++round) {
         std::string error;
         auto journal = SweepJournal::open(options.journalPath, error);
@@ -210,171 +157,48 @@ runChaosSoak(const ChaosOptions &options)
                                         ": " + error);
             return report;
         }
-
-        auto stop = std::make_shared<std::atomic<bool>>(false);
-        JobGuard guard(guard_options);
-
-        GuardedSweepOptions sweep;
-        sweep.gridScale = options.gridScale;
-        sweep.jobs = options.jobs;
-        sweep.journal = journal.get();
-        sweep.guardInstance = &guard;
-        sweep.stop = stop;
-        sweep.perAttempt = chaos_hook;
-
-        GuardedSweepOutcome outcome;
-        std::thread runner(
-            [&] { outcome = Experiment::runGuardedSweep(configs, sweep); });
-        sleepMs(options.killDelayMs * (round + 1));
-        stop->store(true);
-        guard.killAll();
+        const auto kill = std::make_shared<CancelToken>();
+        std::vector<SimResult> results;
+        std::thread runner([&] {
+            results = journaledSweep(configs, kernels, *journal,
+                                     options.jobs, kill);
+        });
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            options.killDelayMs * (round + 1)));
+        kill->cancel();
         runner.join();
-
-        report.killedJobs += outcome.cancelled;
-        report.retries += outcome.guardStats.retriesScheduled;
-        report.timeouts += outcome.guardStats.timeouts;
+        for (const SimResult &r : results)
+            report.killedJobs +=
+                r.error.kind == SimErrorKind::Cancelled ? 1 : 0;
     }
 
     // Final round: resume from the journal and run to completion.
-    {
-        std::string error;
-        auto journal = SweepJournal::open(options.journalPath, error);
-        if (!journal) {
-            report.mismatches.push_back("final resume: " + error);
-            return report;
-        }
-        GuardedSweepOptions sweep;
-        sweep.gridScale = options.gridScale;
-        sweep.jobs = options.jobs;
-        sweep.guard = guard_options;
-        sweep.journal = journal.get();
-        sweep.perAttempt = chaos_hook;
-
-        const GuardedSweepOutcome final_outcome =
-            Experiment::runGuardedSweep(configs, sweep);
-        report.replayedJobs = final_outcome.replayed;
-        report.retries += final_outcome.guardStats.retriesScheduled;
-        report.timeouts += final_outcome.guardStats.timeouts;
-
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                const SimResult &got = final_outcome.results[c][a];
-                const std::string cell = apps[a].abbrev + "/" +
-                                         policyKindName(configs[c].policy.kind);
-                if (got.failed) {
-                    report.mismatches.push_back(
-                        cell + " failed after resume: " +
-                        got.error.toString());
-                    continue;
-                }
-                const std::string diff =
-                    compareSimResults(got, baseline[c][a]);
-                if (!diff.empty())
-                    report.mismatches.push_back(
-                        cell + " diverged from clean serial run (" + diff +
-                        ")");
-            }
-        }
+    std::string error;
+    auto journal = SweepJournal::open(options.journalPath, error);
+    if (!journal) {
+        report.mismatches.push_back("final resume: " + error);
+        return report;
     }
-
-    // Timeout victim: first attempt hangs far past the deadline, dies with
-    // a typed Timeout, and the clean retry must be bit-exact.
-    if (options.victimTimeoutMs > 0.0) {
-        GuardOptions victim_guard = guard_options;
-        victim_guard.jobTimeoutMs = options.victimTimeoutMs;
-        victim_guard.retries = 1;
-        JobGuard guard(victim_guard);
-
-        const auto kernel =
-            Suite::makeKernel(apps.front(), options.gridScale);
-        const GpuConfig &config = configs.front();
-        const SimResult got = guard.runGuarded(
-            "chaos-timeout-victim",
-            [&](unsigned attempt, std::shared_ptr<CancelToken> token) {
-                GpuConfig cfg = config;
-                cfg.verify.cancel = std::move(token);
-                if (attempt == 0) {
-                    armHostFaults(cfg, options.seed);
-                    cfg.verify.fault.jobHangProb = 1.0;
-                    cfg.verify.fault.jobHangSliceMs = 1.0;
-                    cfg.verify.fault.jobHangMaxMs = 600'000.0;
-                }
-                return Simulator::run(cfg, *kernel);
-            });
-        report.timeouts += guard.stats().timeouts;
-        ++report.injectedFaults;
-        if (guard.stats().timeouts == 0)
-            report.mismatches.push_back(
-                "timeout victim: deadline never tripped");
-        if (got.failed)
-            report.mismatches.push_back(
-                "timeout victim failed terminally: " + got.error.toString());
-        else if (got.attempts != 2)
-            report.mismatches.push_back(
-                "timeout victim: expected 2 attempts, saw " +
-                std::to_string(got.attempts));
-        else {
-            const std::string diff =
-                compareSimResults(got, baseline[0][0]);
-            if (!diff.empty())
-                report.mismatches.push_back(
-                    "timeout victim diverged after retry (" + diff + ")");
-        }
-    }
-
-    // Quarantine isolation: a poisoned config row fails every attempt and
-    // must quarantine; its duplicate row is skipped outright; a healthy
-    // sibling row stays bit-exact. Serial, so row order is deterministic.
-    if (options.quarantineCheck) {
-        GpuConfig victim = configs.front();
-        victim.seed = kVictimSeed; // distinct key identity for the row
-        GuardedSweepOptions sweep;
-        sweep.gridScale = options.gridScale;
-        sweep.jobs = 1;
-        sweep.guard = guard_options;
-        sweep.guard.retries = 1;
-        sweep.perAttempt = [seed = options.seed](GpuConfig &cfg,
-                                                 const std::string &,
-                                                 unsigned) {
-            if (cfg.seed == kVictimSeed) {
-                armHostFaults(cfg, seed);
-                cfg.verify.fault.workerExceptionProb = 1.0;
-            }
-        };
-        const GuardedSweepOutcome iso = Experiment::runGuardedSweep(
-            {configs.front(), victim, victim}, sweep);
+    const std::vector<SimResult> results =
+        journaledSweep(configs, kernels, *journal, options.jobs, nullptr);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
         for (std::size_t a = 0; a < apps.size(); ++a) {
-            if (iso.results[0][a].failed) {
-                report.mismatches.push_back(
-                    "quarantine check: healthy row app " + apps[a].abbrev +
-                    " failed: " + iso.results[0][a].error.toString());
+            const SimResult &got = results[c * apps.size() + a];
+            report.replayedJobs += got.fromJournal ? 1 : 0;
+            const std::string cell = apps[a].abbrev + "/" +
+                                     policyKindName(configs[c].policy.kind);
+            if (got.failed) {
+                report.mismatches.push_back(cell + " failed after resume: " +
+                                            got.error.toString());
                 continue;
             }
-            const std::string diff =
-                compareSimResults(iso.results[0][a], baseline[0][a]);
+            const std::string diff = compareSimResults(got, baseline[c][a]);
             if (!diff.empty())
                 report.mismatches.push_back(
-                    "quarantine check: healthy row app " + apps[a].abbrev +
-                    " diverged (" + diff + ")");
-            if (iso.results[1][a].error.kind !=
-                SimErrorKind::RetriesExhausted)
-                report.mismatches.push_back(
-                    "quarantine check: poisoned row app " + apps[a].abbrev +
-                    " expected retries-exhausted, saw " +
-                    std::string(simErrorKindName(
-                        iso.results[1][a].error.kind)));
-            if (iso.results[2][a].error.kind != SimErrorKind::Quarantined)
-                report.mismatches.push_back(
-                    "quarantine check: duplicate poisoned row app " +
-                    apps[a].abbrev + " expected quarantined skip, saw " +
-                    std::string(simErrorKindName(
-                        iso.results[2][a].error.kind)));
+                    cell + " diverged from clean serial run (" + diff + ")");
         }
-        report.injectedFaults +=
-            static_cast<unsigned>(2 * apps.size());
     }
 
-    report.injectedFaults += injected.load(std::memory_order_relaxed);
     report.passed = report.mismatches.empty();
     return report;
 }

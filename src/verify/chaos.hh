@@ -1,25 +1,22 @@
 /**
  * @file
- * Chaos harness: end-to-end proof that the resilience stack (JobGuard,
- * SweepJournal, cancel tokens, host-level fault sites) preserves sweep
- * correctness under adversity. A soak runs the same policy sweep twice:
+ * Kill-and-resume soak: end-to-end proof that the sweep journal and the
+ * shared cancel token preserve sweep correctness when a sweep is killed
+ * mid-flight. A soak runs the same policy sweep twice:
  *
- *  1. a clean, serial, unguarded run — the ground truth;
- *  2. a guarded run beaten up with deterministic chaos — injected
- *     worker exceptions and dispatch hangs on early attempts, a forced
- *     hang-past-deadline timeout victim, and mid-sweep kills that abort
- *     in-flight jobs and drop pending ones — journaled throughout, then
- *     resumed until complete.
+ *  1. a clean, serial, unjournaled run — the ground truth;
+ *  2. a journaled run on a worker pool, killed mid-sweep in each round
+ *     (in-flight runs abort, later jobs start already cancelled) and
+ *     reopened from disk the way --resume would, then resumed to
+ *     completion.
  *
  * The harness asserts the final merged results are bit-identical to the
- * clean run, field by field. Every chaos decision is a pure function of
- * (seed, job key, attempt), so a failing soak reproduces exactly.
+ * clean run, field by field.
  */
 
 #ifndef FINEREG_VERIFY_CHAOS_HH
 #define FINEREG_VERIFY_CHAOS_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,10 +27,7 @@ namespace finereg
 
 struct ChaosOptions
 {
-    /** Master seed for every chaos decision (fault placement). */
-    std::uint64_t seed = 0xc4a05u;
-
-    /** Interrupted (killed mid-sweep) rounds before the final resume. */
+    /** Killed-and-resumed rounds before the final resume. */
     unsigned rounds = 2;
 
     /** Policies swept (each over the full 18-app suite). */
@@ -43,49 +37,24 @@ struct ChaosOptions
     /** Grid scale for every run (small keeps the soak fast). */
     double gridScale = 0.04;
 
-    /** Worker count for chaos rounds (the baseline is always serial). */
+    /** Worker count for the journaled rounds (the baseline is serial). */
     unsigned jobs = 4;
 
-    /** Retries per job; must exceed the attempts chaos faults (faults are
-     * injected on attempt 0 only, so >= 1 guarantees convergence). */
-    unsigned retries = 2;
-
-    /** P(injected worker exception on attempt 0) per job. */
-    double exceptionProb = 0.3;
-
-    /** P(benign short dispatch hang on attempt 0) per job. */
-    double hangProb = 0.15;
-
-    /** Duration of a benign injected hang (well under any deadline). */
-    double benignHangMs = 20.0;
-
-    /** Wall-clock delay before each round's mid-sweep kill. */
+    /** Wall-clock delay before round r's kill is (r + 1) times this. */
     double killDelayMs = 50.0;
-
-    /** Per-attempt deadline for the timeout-victim check; the victim's
-     * first attempt hangs far past it and must die with Timeout, then
-     * succeed bit-exactly on the clean retry. 0 skips the check. */
-    double victimTimeoutMs = 1500.0;
 
     /** Journal path for the killed/resumed rounds (a .sweep.jsonl file;
      * deleted and recreated at soak start). */
     std::string journalPath = "chaos.sweep.jsonl";
-
-    /** Also verify quarantine isolation: a poisoned config row that fails
-     * every attempt must quarantine without disturbing its siblings. */
-    bool quarantineCheck = true;
 };
 
 struct ChaosReport
 {
     bool passed = false;
 
-    unsigned totalJobs = 0;     ///< Cells per sweep (configs x apps).
-    unsigned killedJobs = 0;    ///< Cancelled results across chaos rounds.
-    unsigned replayedJobs = 0;  ///< Journal replays in the final round.
-    unsigned injectedFaults = 0;///< Host faults armed across all attempts.
-    std::uint64_t timeouts = 0; ///< Deadlines tripped (victim check).
-    std::uint64_t retries = 0;  ///< Retries scheduled across all rounds.
+    unsigned totalJobs = 0;    ///< Cells per sweep (configs x apps).
+    unsigned killedJobs = 0;   ///< Cancelled results across killed rounds.
+    unsigned replayedJobs = 0; ///< Journal replays in the final round.
 
     /** Human-readable failures; empty when passed. */
     std::vector<std::string> mismatches;
@@ -94,13 +63,13 @@ struct ChaosReport
     std::string summary() const;
 };
 
-/** Run the full soak described above. Deterministic per options. */
+/** Run the soak described above. */
 ChaosReport runChaosSoak(const ChaosOptions &options);
 
 /**
- * Field-by-field comparison of two results, ignoring resilience metadata
- * (attempts, fromJournal) and wall-clock artefacts. Returns an empty
- * string when bit-identical, else a "field: a vs b" description.
+ * Field-by-field comparison of two results, ignoring how the result was
+ * obtained (fromJournal) and wall-clock artefacts. Returns an empty string
+ * when bit-identical, else a "field: a vs b" description.
  */
 std::string compareSimResults(const SimResult &a, const SimResult &b);
 

@@ -24,10 +24,6 @@ simErrorKindName(SimErrorKind kind)
         return "cancelled";
       case SimErrorKind::Timeout:
         return "timeout";
-      case SimErrorKind::RetriesExhausted:
-        return "retries-exhausted";
-      case SimErrorKind::Quarantined:
-        return "quarantined";
     }
     return "unknown";
 }

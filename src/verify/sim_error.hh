@@ -26,9 +26,7 @@ enum class SimErrorKind : unsigned char
     Deadlock,           ///< Watchdog: no forward progress for too long.
     WorkerException,    ///< Non-SimException escaped a parallel job.
     Cancelled,          ///< Job cancelled (fail-fast or an external kill).
-    Timeout,            ///< Wall-clock deadline expired (JobGuard monitor).
-    RetriesExhausted,   ///< Every JobGuard attempt failed.
-    Quarantined,        ///< Job skipped: its key is on the quarantine list.
+    Timeout,            ///< Wall-clock budget expired (wallTimeoutMs).
 };
 
 const char *simErrorKindName(SimErrorKind kind);
@@ -90,7 +88,7 @@ class SimException : public std::runtime_error
 [[noreturn]] void raiseDeadlock(std::string message, Cycle cycle,
                                 std::string diagnostic);
 
-/** Throw a Timeout-kind SimException (cooperative wall-clock cancel). */
+/** Throw a Timeout-kind SimException (wall-clock budget expired). */
 [[noreturn]] void raiseTimeout(std::string message, Cycle cycle,
                                std::string diagnostic = {});
 

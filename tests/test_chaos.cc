@@ -1,9 +1,8 @@
 /**
  * @file
- * Chaos harness tests: a small deterministic soak — injected worker
- * exceptions and hangs, a mid-sweep kill, a journal resume, a timeout
- * victim, and quarantine isolation — must converge to results
- * bit-identical to a clean serial run.
+ * Kill-and-resume soak tests: a small soak — a mid-sweep kill and a
+ * journal resume — must converge to results bit-identical to a clean
+ * serial run, and the comparison it relies on must see single-bit drift.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +28,9 @@ TEST(Chaos, CompareSimResultsIgnoresResilienceMetadata)
     SimResult b = a;
     EXPECT_EQ(compareSimResults(a, b), "");
 
-    // attempts/fromJournal describe how the result was obtained, not what
-    // the simulation computed; a retried or replayed run must compare
-    // equal to a clean one.
-    b.attempts = 5;
+    // fromJournal describes how the result was obtained, not what the
+    // simulation computed; a replayed run must compare equal to a clean
+    // one.
     b.fromJournal = true;
     EXPECT_EQ(compareSimResults(a, b), "");
 }
@@ -62,21 +60,17 @@ TEST(Chaos, CompareSimResultsDetectsSingleBitDrift)
 TEST(Chaos, SmallSoakConvergesToCleanResults)
 {
     ChaosOptions options;
-    options.seed = 0x7357;
     options.rounds = 1;
     options.policies = {PolicyKind::FineReg};
     options.gridScale = 0.02;
     options.jobs = 2;
-    options.retries = 2;
     options.killDelayMs = 20.0;
-    options.victimTimeoutMs = 500.0;
     options.journalPath = testing::TempDir() + "chaos_test.sweep.jsonl";
 
     const ChaosReport report = runChaosSoak(options);
     EXPECT_TRUE(report.passed) << report.summary();
     EXPECT_TRUE(report.mismatches.empty());
     EXPECT_EQ(report.totalJobs, 18u); // one policy x the full suite
-    EXPECT_GE(report.timeouts, 1u);   // the forced timeout victim
     std::remove(options.journalPath.c_str());
 }
 

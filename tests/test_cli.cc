@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/cli_options.hh"
 
 namespace finereg
@@ -90,9 +93,30 @@ TEST(CliOptions, AcrfAdjustsPcrf)
     EXPECT_EQ(r.options->config.policy.pcrfBytes, 160u * 1024);
 }
 
+TEST(CliOptions, PcrfAdjustsAcrf)
+{
+    const auto r = parse({"--pcrf", "32"});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.options->config.policy.pcrfBytes, 32u * 1024);
+    EXPECT_EQ(r.options->config.policy.acrfBytes, 224u * 1024);
+}
+
+TEST(CliOptions, AcrfPcrfPairMustAddUpToTheRegisterFile)
+{
+    const auto r = parse({"--acrf", "192", "--pcrf", "64"});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.options->config.policy.acrfBytes, 192u * 1024);
+    EXPECT_EQ(r.options->config.policy.pcrfBytes, 64u * 1024);
+
+    const auto bad = parse({"--acrf", "128", "--pcrf", "64"});
+    EXPECT_FALSE(bad.ok());
+    EXPECT_NE(bad.error.find("register file"), std::string::npos);
+}
+
 TEST(CliOptions, AcrfBeyondRfRejected)
 {
     EXPECT_FALSE(parse({"--acrf", "512"}).ok());
+    EXPECT_FALSE(parse({"--pcrf", "256"}).ok());
 }
 
 TEST(CliOptions, NumericFlags)
@@ -125,8 +149,9 @@ TEST(CliOptions, VerifyFlags)
     const auto r = parse({"--audit-interval", "1000", "--watchdog-cycles",
                           "50000", "--fault-seed", "42", "--fault-dram",
                           "0.1", "--fault-pcrf", "0.2", "--fault-bitvec",
-                          "0.3"});
+                          "0.3", "--job-timeout-ms", "250"});
     ASSERT_TRUE(r.ok());
+    EXPECT_DOUBLE_EQ(r.options->config.verify.wallTimeoutMs, 250.0);
     EXPECT_EQ(r.options->config.verify.auditInterval, 1000u);
     EXPECT_EQ(r.options->config.verify.watchdogCycles, 50000u);
     EXPECT_EQ(r.options->config.verify.fault.seed, 42u);
@@ -150,6 +175,31 @@ TEST(CliOptions, BadVerifyValuesRejected)
     EXPECT_FALSE(parse({"--fault-pcrf", "-0.1"}).ok());
     EXPECT_FALSE(parse({"--audit-interval"}).ok());
     EXPECT_FALSE(parse({"--watchdog-cycles", "-5"}).ok());
+    EXPECT_FALSE(parse({"--job-timeout-ms", "-1"}).ok());
+}
+
+TEST(CliOptions, MalformedNumbersRejected)
+{
+    // Each of these once ran with a silently substituted value.
+    for (const auto &[flag, value] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"--growth-factor", "abc"},
+             {"--growth-factor", "-1"},
+             {"--seed", "abc"},
+             {"--fault-seed", "abc"},
+             {"--scale", "nan"},
+             {"--scale", "inf"},
+             {"--scale", "0.5x"},
+             {"--jobs", "4.5"},
+             {"--sms", ""},
+             {"--max-cycles", "1e3"},
+             {"--audit-interval", "-1"},
+             {"--job-timeout-ms", "1e999"},
+             {"--acrf", "99999999999"}}) {
+        const auto r = parse({flag, value});
+        EXPECT_FALSE(r.ok()) << flag << " " << value;
+        EXPECT_NE(r.error.find(flag), std::string::npos) << r.error;
+    }
 }
 
 TEST(CliOptions, SchedulerChoice)

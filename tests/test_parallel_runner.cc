@@ -114,7 +114,7 @@ TEST(ParallelRunner, ExceptionInOneJobDoesNotPoisonSiblings)
     });
     jobs.push_back([] { return okResult("c"); });
 
-    ParallelRunner runner({.jobs = 4, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = 4, .failFast = false});
     const auto results = runner.run(std::move(jobs));
     ASSERT_EQ(results.size(), 3u);
     EXPECT_FALSE(results[0].failed);
@@ -132,7 +132,7 @@ TEST(ParallelRunner, SimExceptionKeepsTypedError)
     jobs.push_back([]() -> SimResult {
         raiseInvariant("pcrf-chain", "chain broken", 7, 3, 1234);
     });
-    ParallelRunner runner({.jobs = 2, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = 2, .failFast = false});
     const auto results = runner.run(std::move(jobs));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].failed);
@@ -158,7 +158,7 @@ TEST(ParallelRunner, FailFastCancelsPendingJobs)
 
     // Serial fail-fast is fully deterministic: job 0 fails, all 8
     // remaining jobs are cancelled without executing.
-    ParallelRunner runner({.jobs = 1, .failFast = true, .stop = {}});
+    ParallelRunner runner({.jobs = 1, .failFast = true});
     const auto outcome = runner.runAll(std::move(jobs));
     EXPECT_TRUE(outcome.cancelled);
     EXPECT_EQ(executed.load(), 1u);
@@ -183,7 +183,7 @@ TEST(ParallelRunner, FailFastParallelStillCompletes)
     for (int i = 0; i < 15; ++i)
         jobs.push_back([] { return okResult("x"); });
 
-    ParallelRunner runner({.jobs = 4, .failFast = true, .stop = {}});
+    ParallelRunner runner({.jobs = 4, .failFast = true});
     const auto outcome = runner.runAll(std::move(jobs));
     EXPECT_TRUE(outcome.cancelled);
     EXPECT_TRUE(outcome.results[0].failed);
@@ -236,7 +236,7 @@ TEST(ParallelRunner, ResultsKeyedBySubmissionIndex)
     std::vector<ParallelRunner::Job> jobs;
     for (int i = 0; i < 64; ++i)
         jobs.push_back([i] { return okResult(std::to_string(i)); });
-    ParallelRunner runner({.jobs = 8, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = 8, .failFast = false});
     const auto results = runner.run(std::move(jobs));
     ASSERT_EQ(results.size(), 64u);
     for (int i = 0; i < 64; ++i)
@@ -255,7 +255,7 @@ TEST(ParallelRunner, MoreWorkersThanJobsIsClamped)
 {
     std::vector<ParallelRunner::Job> jobs;
     jobs.push_back([] { return okResult("only"); });
-    ParallelRunner runner({.jobs = 16, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = 16, .failFast = false});
     const auto outcome = runner.runAll(std::move(jobs));
     EXPECT_EQ(outcome.jobsUsed, 1u);
     ASSERT_EQ(outcome.results.size(), 1u);

@@ -3,15 +3,18 @@
  * SweepJournal unit tests: content-addressed keys, bit-exact JSON
  * round-trips (every double through %.17g), append/reload with
  * latest-entry-wins, torn-line tolerance, stale-version rejection, and
- * journal-backed replay through Experiment::makeGuardedJob.
+ * journal-backed sweep jobs (Experiment::makeSweepJob): replay on resume,
+ * wall-clock budget expiry, and the shared kill switch.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <thread>
 
 #include "core/experiment.hh"
 #include "core/simulator.hh"
@@ -29,6 +32,14 @@ std::string
 tempPath(const char *name)
 {
     return testing::TempDir() + name;
+}
+
+/** A suite app at scale 1.0: its run takes tens of milliseconds, so a
+ * 1 ms budget or a kill a few milliseconds in always lands mid-run. */
+std::shared_ptr<const Kernel>
+fullScaleKernel()
+{
+    return Suite::makeKernel(Suite::byName("LI"), 1.0);
 }
 
 TEST(SweepJournal, KeyIsContentAddressed)
@@ -59,9 +70,9 @@ TEST(SweepJournal, KeyIsContentAddressed)
 
 TEST(SweepJournal, RuntimeOnlyKnobsDoNotChangeTheKey)
 {
-    // The cancel token and the host-level fault sites never change
-    // simulated results, so the chaos/retry machinery may flip them per
-    // attempt without losing the job's resume identity.
+    // The wall-clock budget and the cancel token can abort a run but never
+    // change a completed one, so a resume without them (or with different
+    // ones) must keep the job's identity.
     const auto kernel = generateKernelSpec(0xbeef).build();
     GpuConfig config = GpuConfig::gtx980();
     config.policy.kind = PolicyKind::FineReg;
@@ -69,9 +80,7 @@ TEST(SweepJournal, RuntimeOnlyKnobsDoNotChangeTheKey)
 
     GpuConfig armed = config;
     armed.verify.cancel = std::make_shared<CancelToken>();
-    armed.verify.fault.workerExceptionProb = 1.0;
-    armed.verify.fault.jobHangProb = 0.5;
-    armed.verify.fault.jobHangMaxMs = 123.0;
+    armed.verify.wallTimeoutMs = 1.0;
     EXPECT_EQ(base, makeSweepJobKey(*kernel, armed).toString());
 
     // The in-simulation fault schedule DOES affect results, so it is part
@@ -116,16 +125,14 @@ TEST(SweepJournal, FailedEntryPreservesErrorKindAndMessage)
     entry.app = "BF";
     entry.status = "failed";
     entry.result.failed = true;
-    entry.result.attempts = 3;
     entry.result.error.kind = SimErrorKind::Timeout;
     entry.result.error.message =
-        "deadline \"exceeded\"\n\tafter 500 ms \\ attempt 3";
+        "budget \"exceeded\"\n\tafter 500 ms \\ at cycle 3";
 
     const auto parsed = journalEntryFromJson(journalEntryToJson(entry));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_FALSE(parsed->ok());
     EXPECT_TRUE(parsed->result.failed);
-    EXPECT_EQ(parsed->result.attempts, 3u);
     EXPECT_EQ(parsed->result.error.kind, SimErrorKind::Timeout);
     EXPECT_EQ(parsed->result.error.message, entry.result.error.message);
 }
@@ -241,31 +248,125 @@ TEST(SweepJournal, GuardedJobsReplayBitIdenticallyOnResume)
     GpuConfig config = GpuConfig::gtx980();
     config.numSms = 2;
     config.policy.kind = PolicyKind::FineReg;
-    const std::string key = makeSweepJobKey(*kernel, config).toString();
 
     std::string error;
     SimResult fresh;
     {
         auto journal = SweepJournal::open(path, error);
         ASSERT_NE(journal, nullptr) << error;
-        JobGuard guard;
-        fresh = Experiment::makeGuardedJob(kernel, config, "BF", key, guard,
-                                           journal.get())();
+        fresh =
+            Experiment::makeSweepJob(kernel, config, "BF", journal.get())();
         ASSERT_FALSE(fresh.failed) << fresh.failureReason;
         EXPECT_FALSE(fresh.fromJournal);
         EXPECT_EQ(journal->completedCount(), 1u);
     }
 
     // A second process resuming from the journal replays the result
-    // without re-simulating, bit-identically.
+    // without re-simulating (fromJournal is only set on entries read back
+    // from disk), bit-identically.
     auto journal = SweepJournal::open(path, error);
     ASSERT_NE(journal, nullptr) << error;
-    JobGuard guard;
-    const SimResult replayed = Experiment::makeGuardedJob(
-        kernel, config, "BF", key, guard, journal.get())();
+    const SimResult replayed =
+        Experiment::makeSweepJob(kernel, config, "BF", journal.get())();
     EXPECT_TRUE(replayed.fromJournal);
     EXPECT_EQ(compareSimResults(fresh, replayed), "");
-    EXPECT_EQ(guard.stats().attemptsStarted, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournal, DeadlineTimeoutIsJournaledAsFailed)
+{
+    const std::string path = tempPath("journal_deadline.sweep.jsonl");
+    std::remove(path.c_str());
+    const auto kernel = fullScaleKernel();
+    GpuConfig config = Experiment::configFor(PolicyKind::FineReg);
+    config.verify.wallTimeoutMs = 1.0;
+
+    std::string error;
+    {
+        auto journal = SweepJournal::open(path, error);
+        ASSERT_NE(journal, nullptr) << error;
+        const SimResult r =
+            Experiment::makeSweepJob(kernel, config, "LI", journal.get())();
+        EXPECT_TRUE(r.failed);
+        EXPECT_EQ(r.error.kind, SimErrorKind::Timeout) << r.failureReason;
+        EXPECT_FALSE(r.error.diagnostic.empty());
+    }
+
+    auto journal = SweepJournal::open(path, error);
+    ASSERT_NE(journal, nullptr) << error;
+    const JournalEntry *entry =
+        journal->find(makeSweepJobKey(*kernel, config).toString());
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->status, "failed");
+    EXPECT_EQ(entry->result.error.kind, SimErrorKind::Timeout);
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournal, ResumeWithoutDeadlineRerunsTheTimedOutCell)
+{
+    const std::string path = tempPath("journal_deadline_resume.sweep.jsonl");
+    std::remove(path.c_str());
+    const auto kernel = fullScaleKernel();
+    const GpuConfig config = Experiment::configFor(PolicyKind::FineReg);
+    GpuConfig budgeted = config;
+    budgeted.verify.wallTimeoutMs = 1.0;
+
+    std::string error;
+    {
+        auto journal = SweepJournal::open(path, error);
+        ASSERT_NE(journal, nullptr) << error;
+        const SimResult timed_out = Experiment::makeSweepJob(
+            kernel, budgeted, "LI", journal.get())();
+        ASSERT_EQ(timed_out.error.kind, SimErrorKind::Timeout)
+            << timed_out.failureReason;
+    }
+
+    // Same key without the budget: the failed entry is not replayed, the
+    // cell runs again and matches a clean run.
+    auto journal = SweepJournal::open(path, error);
+    ASSERT_NE(journal, nullptr) << error;
+    EXPECT_EQ(journal->completedCount(), 0u);
+    const SimResult resumed =
+        Experiment::makeSweepJob(kernel, config, "LI", journal.get())();
+    ASSERT_FALSE(resumed.failed) << resumed.failureReason;
+    EXPECT_FALSE(resumed.fromJournal);
+    EXPECT_EQ(compareSimResults(resumed, Simulator::run(config, *kernel)), "");
+    EXPECT_EQ(journal->completedCount(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournal, SharedCancelTokenKillsEveryJob)
+{
+    // One token shared by a sweep's jobs kills a run in flight and every
+    // run that starts after the kill; both are journaled as failed, so a
+    // resume re-runs them.
+    const std::string path = tempPath("journal_kill.sweep.jsonl");
+    std::remove(path.c_str());
+    const auto kernel = fullScaleKernel();
+    const auto kill = std::make_shared<CancelToken>();
+    GpuConfig baseline = Experiment::configFor(PolicyKind::Baseline);
+    baseline.verify.cancel = kill;
+    GpuConfig finereg = Experiment::configFor(PolicyKind::FineReg);
+    finereg.verify.cancel = kill;
+
+    std::string error;
+    auto journal = SweepJournal::open(path, error);
+    ASSERT_NE(journal, nullptr) << error;
+    auto inflight_job =
+        Experiment::makeSweepJob(kernel, baseline, "LI", journal.get());
+    SimResult inflight;
+    std::thread worker([&] { inflight = inflight_job(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    kill->cancel();
+    worker.join();
+    const SimResult late =
+        Experiment::makeSweepJob(kernel, finereg, "LI", journal.get())();
+
+    EXPECT_EQ(inflight.error.kind, SimErrorKind::Cancelled)
+        << inflight.failureReason;
+    EXPECT_EQ(late.error.kind, SimErrorKind::Cancelled) << late.failureReason;
+    EXPECT_EQ(journal->size(), 2u);
+    EXPECT_EQ(journal->completedCount(), 0u);
     std::remove(path.c_str());
 }
 

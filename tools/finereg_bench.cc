@@ -38,9 +38,7 @@ struct BenchOptions
     std::vector<PolicyKind> policies{PolicyKind::Baseline,
                                      PolicyKind::FineReg};
 
-    // Resilience knobs (JobGuard + SweepJournal).
-    double jobTimeoutMs = 0.0;
-    unsigned retries = 0;
+    double jobTimeoutMs = 0.0; // per-run wall-clock budget; 0 = off
     std::string resumePath;
 };
 
@@ -56,8 +54,8 @@ const char *kUsage =
     "  --jobs N          parallel jobs (default: FINEREG_JOBS env, then\n"
     "                    hardware threads)\n"
     "  --fail-fast       cancel pending runs after the first failure\n"
-    "  --job-timeout-ms MS  per-run wall-clock deadline (0 = off)\n"
-    "  --retries N       retry budget for transient run failures\n"
+    "  --job-timeout-ms MS  per-run wall-clock budget; a run that exceeds\n"
+    "                    it fails with a timeout error (0 = off)\n"
     "  --resume FILE     journal completed runs to FILE and replay runs\n"
     "                    already recorded there (wall_ms excepted, the\n"
     "                    resumed JSON is bit-identical)\n"
@@ -179,10 +177,6 @@ runBench(const BenchOptions &options)
                      journal->path().c_str(), journal->size(),
                      journal->completedCount());
     }
-    GuardOptions guard_options;
-    guard_options.jobTimeoutMs = options.jobTimeoutMs;
-    guard_options.retries = options.retries;
-    JobGuard guard(guard_options);
 
     // Policy-major matrix so results[p * napps + a] = (policy p, app a).
     // Kernels are built once per app and shared across policies.
@@ -194,18 +188,16 @@ runBench(const BenchOptions &options)
     std::vector<ParallelRunner::Job> matrix;
     matrix.reserve(options.policies.size() * apps.size());
     for (const PolicyKind kind : options.policies) {
-        const GpuConfig config = Experiment::configFor(kind);
+        GpuConfig config = Experiment::configFor(kind);
+        config.verify.wallTimeoutMs = options.jobTimeoutMs;
         for (std::size_t a = 0; a < apps.size(); ++a) {
-            matrix.push_back(Experiment::makeGuardedJob(
-                kernels[a], config, apps[a].abbrev,
-                makeSweepJobKey(*kernels[a], config).toString(), guard,
-                journal.get()));
+            matrix.push_back(Experiment::makeSweepJob(
+                kernels[a], config, apps[a].abbrev, journal.get()));
         }
     }
 
-    ParallelRunner runner({.jobs = options.jobs,
-                           .failFast = options.failFast,
-                           .stop = {}});
+    ParallelRunner runner(
+        {.jobs = options.jobs, .failFast = options.failFast});
     const ParallelRunner::Outcome outcome = runner.runAll(std::move(matrix));
 
     // Baseline IPC per app for speedup_vs_baseline (0 when the baseline
@@ -424,38 +416,33 @@ main(int argc, char **argv)
             options.outPath = v;
         } else if (arg == "--scale") {
             const char *v = value();
-            if (!v || std::atof(v) <= 0.0) {
+            const auto scale = parseNumber<double>(v ? v : "");
+            if (!scale || *scale <= 0.0) {
                 std::fprintf(stderr,
                              "error: --scale needs a positive value\n");
                 return 2;
             }
-            options.scale = std::atof(v);
+            options.scale = *scale;
         } else if (arg == "--jobs") {
             const char *v = value();
-            if (!v || std::atoi(v) <= 0) {
+            const auto jobs = parseNumber<unsigned>(v ? v : "");
+            if (!jobs || *jobs == 0) {
                 std::fprintf(stderr,
                              "error: --jobs needs a positive value\n");
                 return 2;
             }
-            options.jobs = static_cast<unsigned>(std::atoi(v));
+            options.jobs = *jobs;
         } else if (arg == "--fail-fast") {
             options.failFast = true;
         } else if (arg == "--job-timeout-ms") {
             const char *v = value();
-            if (!v || std::atof(v) < 0.0) {
+            const auto ms = parseNumber<double>(v ? v : "");
+            if (!ms || *ms < 0.0) {
                 std::fprintf(stderr,
                              "error: --job-timeout-ms needs a value >= 0\n");
                 return 2;
             }
-            options.jobTimeoutMs = std::atof(v);
-        } else if (arg == "--retries") {
-            const char *v = value();
-            if (!v || std::atoi(v) < 0) {
-                std::fprintf(stderr,
-                             "error: --retries needs a value >= 0\n");
-                return 2;
-            }
-            options.retries = static_cast<unsigned>(std::atoi(v));
+            options.jobTimeoutMs = *ms;
         } else if (arg == "--resume") {
             const char *v = value();
             if (!v) {

@@ -1,19 +1,16 @@
 /**
  * @file
- * finereg_chaos — resilience soak driver. Beats a policy sweep up with
- * deterministic chaos (injected worker exceptions, dispatch hangs, a
- * forced hang-past-deadline timeout victim, mid-sweep kills) while
- * journaling every completed job, resumes the sweep from the journal, and
- * exits non-zero unless the final merged results are bit-identical to a
- * clean serial run. Every fault decision is a pure function of the seed
- * and the job key, so any failure reproduces with the same command line.
+ * finereg_chaos — the kill-and-resume soak. Kills a journaled policy
+ * sweep mid-flight for a number of rounds, resumes it from the journal,
+ * and exits non-zero unless the final merged results are bit-identical to
+ * a clean serial run.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "core/cli_options.hh"
 #include "verify/chaos.hh"
 
 using namespace finereg;
@@ -24,114 +21,66 @@ namespace
 const char *kUsage =
     "usage: finereg_chaos [options]\n"
     "\n"
-    "Runs a policy sweep under injected faults, timeouts, and kills and\n"
-    "verifies the journaled/resumed results match a clean serial run\n"
+    "Kills a journaled policy sweep mid-flight, resumes it from the\n"
+    "journal, and verifies the resumed results match a clean serial run\n"
     "bit for bit. Exits 1 on any divergence.\n"
     "\n"
-    "  --seed S          chaos seed: a number, or any string (hashed), so\n"
-    "                    CI can pass the git SHA directly (default 0xc4a05)\n"
     "  --rounds N        killed-and-resumed rounds before the final full\n"
     "                    resume (default 2)\n"
-    "  --jobs N          worker threads for chaos rounds (default 4)\n"
-    "  --retries N       retry budget per job (default 2)\n"
+    "  --jobs N          worker threads for the journaled rounds (default 4)\n"
     "  --grid-scale F    grid scale for every run (default 0.04)\n"
-    "  --fault-worker P  P(injected dispatch exception, attempt 0)\n"
-    "                    (default 0.3)\n"
-    "  --fault-hang P    P(benign dispatch hang, attempt 0) (default 0.15)\n"
-    "  --kill-delay MS   delay before each round's mid-sweep kill\n"
-    "                    (default 50)\n"
-    "  --victim-timeout MS  deadline for the forced-timeout victim check;\n"
-    "                    0 skips it (default 1500)\n"
-    "  --no-quarantine-check  skip the quarantine isolation check\n"
+    "  --kill-delay MS   delay before the first round's kill; round r\n"
+    "                    waits (r + 1) times this (default 50)\n"
     "  --journal PATH    journal file for the soak (default\n"
     "                    chaos.sweep.jsonl; deleted at start)\n"
     "  --help            this text\n";
-
-/** Parse a seed: plain/hex number, else FNV-1a of the string (git SHAs). */
-std::uint64_t
-parseSeed(const std::string &text)
-{
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
-    if (end && *end == '\0' && end != text.c_str())
-        return value;
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 bool
 parseArgs(const std::vector<std::string> &args, ChaosOptions &opts,
           bool &help, std::string &error)
 {
-    auto need_value = [&](std::size_t i) {
-        if (i + 1 >= args.size()) {
-            error = args[i] + " requires a value";
+    // Parse the value after flag args[i] into @p out and step i past it.
+    auto number = [&]<typename T>(std::size_t &i, T &out) {
+        const auto parsed = i + 1 < args.size()
+                                ? parseNumber<T>(args[i + 1])
+                                : std::nullopt;
+        if (!parsed) {
+            error = args[i] + " requires a numeric value";
             return false;
         }
+        out = *parsed;
+        ++i;
         return true;
     };
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        bool ok = true;
         if (arg == "--help") {
             help = true;
-        } else if (arg == "--seed") {
-            if (!need_value(i))
-                return false;
-            opts.seed = parseSeed(args[++i]);
         } else if (arg == "--rounds") {
-            if (!need_value(i))
-                return false;
-            opts.rounds = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 0));
+            ok = number(i, opts.rounds);
         } else if (arg == "--jobs") {
-            if (!need_value(i))
-                return false;
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 0));
-        } else if (arg == "--retries") {
-            if (!need_value(i))
-                return false;
-            opts.retries = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 0));
+            ok = number(i, opts.jobs);
         } else if (arg == "--grid-scale") {
-            if (!need_value(i))
-                return false;
-            opts.gridScale = std::strtod(args[++i].c_str(), nullptr);
-        } else if (arg == "--fault-worker") {
-            if (!need_value(i))
-                return false;
-            opts.exceptionProb = std::strtod(args[++i].c_str(), nullptr);
-        } else if (arg == "--fault-hang") {
-            if (!need_value(i))
-                return false;
-            opts.hangProb = std::strtod(args[++i].c_str(), nullptr);
+            ok = number(i, opts.gridScale);
         } else if (arg == "--kill-delay") {
-            if (!need_value(i))
-                return false;
-            opts.killDelayMs = std::strtod(args[++i].c_str(), nullptr);
-        } else if (arg == "--victim-timeout") {
-            if (!need_value(i))
-                return false;
-            opts.victimTimeoutMs = std::strtod(args[++i].c_str(), nullptr);
-        } else if (arg == "--no-quarantine-check") {
-            opts.quarantineCheck = false;
+            ok = number(i, opts.killDelayMs);
         } else if (arg == "--journal") {
-            if (!need_value(i))
+            if (i + 1 >= args.size()) {
+                error = arg + " requires a value";
                 return false;
+            }
             opts.journalPath = args[++i];
         } else {
             error = "unknown option " + arg;
             return false;
         }
+        if (!ok)
+            return false;
     }
-    if (opts.retries == 0) {
-        error = "--retries must be >= 1: chaos faults every job's first "
-                "attempt, so a zero retry budget cannot converge";
+    if (opts.gridScale <= 0.0 || opts.killDelayMs < 0.0) {
+        error = "--grid-scale must be positive and --kill-delay >= 0";
         return false;
     }
     return true;
@@ -156,11 +105,10 @@ main(int argc, char **argv)
     }
 
     std::fprintf(stderr,
-                 "info: chaos soak: seed=%#llx rounds=%u jobs=%u retries=%u "
+                 "info: kill-and-resume soak: rounds=%u jobs=%u "
                  "grid-scale=%g journal=%s\n",
-                 static_cast<unsigned long long>(options.seed),
-                 options.rounds, options.jobs, options.retries,
-                 options.gridScale, options.journalPath.c_str());
+                 options.rounds, options.jobs, options.gridScale,
+                 options.journalPath.c_str());
 
     const ChaosReport report = runChaosSoak(options);
     std::printf("%s\n", report.summary().c_str());

@@ -293,7 +293,7 @@ runSweep(const DiffOptions &opts, const GpuConfig &config)
         });
     }
 
-    ParallelRunner runner({.jobs = opts.jobs, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = opts.jobs, .failFast = false});
     if (opts.verbose) {
         std::fprintf(stderr, "info: %u cases x %zu policies with %u jobs\n",
                      opts.cases,

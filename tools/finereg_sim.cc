@@ -86,7 +86,7 @@ runDiffCheck(const CliOptions &options)
         }
     }
 
-    ParallelRunner runner({.jobs = options.jobs, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = options.jobs, .failFast = false});
     std::fprintf(stderr, "info: diff-checking %zu runs with %u jobs\n",
                  matrix.size(), ParallelRunner::resolveJobs(options.jobs));
     runner.run(std::move(matrix));
@@ -155,9 +155,8 @@ reproCommand(const std::vector<std::string> &args, const std::string &app,
 enum FailClass : int
 {
     kFailNone = 0,
-    kFailQuarantined, ///< Only quarantine skips: partial success.
-    kFailTimeout,     ///< Deadline expiries but no harder errors.
-    kFailSimError,    ///< Typed simulation error or cycle-cap overrun.
+    kFailTimeout,  ///< Wall-clock budget expiries but no harder errors.
+    kFailSimError, ///< Typed simulation error or cycle-cap overrun.
 };
 
 int
@@ -182,14 +181,6 @@ run(const CliOptions &options, const std::vector<std::string> &args)
                      journal->completedCount());
     }
 
-    GuardOptions guard_options;
-    guard_options.jobTimeoutMs = options.jobTimeoutMs;
-    guard_options.retries = options.retries;
-    guard_options.backoffBaseMs = options.retryBackoffMs;
-    guard_options.backoffMaxMs =
-        std::max(guard_options.backoffMaxMs, options.retryBackoffMs);
-    JobGuard guard(guard_options);
-
     if (options.csv) {
         std::printf("app,policy,cycles,instructions,ipc,resident_ctas,"
                     "active_ctas,dram_bytes,stall_fraction,energy\n");
@@ -200,8 +191,8 @@ run(const CliOptions &options, const std::vector<std::string> &args)
 
     // Fan the (app, policy) matrix across the parallel runner; results come
     // back in submission order, so the report below is identical to the
-    // old serial loop. Every job runs under the guard (a passthrough with
-    // the default knobs) and through the journal when --resume was given.
+    // old serial loop. Every job runs through the journal when --resume
+    // was given.
     std::vector<ParallelRunner::Job> matrix;
     matrix.reserve(apps.size() * options.policies.size());
     for (const std::string &app : apps) {
@@ -210,14 +201,12 @@ run(const CliOptions &options, const std::vector<std::string> &args)
         for (const PolicyKind kind : options.policies) {
             GpuConfig config = options.config;
             config.policy.kind = kind;
-            const std::string key =
-                makeSweepJobKey(*kernel, config).toString();
-            matrix.push_back(Experiment::makeGuardedJob(
-                kernel, config, app, key, guard, journal.get()));
+            matrix.push_back(
+                Experiment::makeSweepJob(kernel, config, app, journal.get()));
         }
     }
 
-    ParallelRunner runner({.jobs = options.jobs, .failFast = false, .stop = {}});
+    ParallelRunner runner({.jobs = options.jobs, .failFast = false});
     std::fprintf(stderr, "info: running %zu simulations with %u jobs\n",
                  matrix.size(), ParallelRunner::resolveJobs(options.jobs));
     const std::vector<SimResult> results = runner.run(std::move(matrix));
@@ -238,11 +227,9 @@ run(const CliOptions &options, const std::vector<std::string> &args)
             if (r.fromJournal)
                 ++replayed;
             if (r.failed) {
-                FailClass cls = kFailSimError;
-                if (r.error.kind == SimErrorKind::Timeout)
-                    cls = kFailTimeout;
-                else if (r.error.kind == SimErrorKind::Quarantined)
-                    cls = kFailQuarantined;
+                const FailClass cls = r.error.kind == SimErrorKind::Timeout
+                                          ? kFailTimeout
+                                          : kFailSimError;
                 failures.push_back({app, kind, cls});
                 worst = std::max(worst, cls);
                 std::fprintf(stderr, "error: %s/%s failed: %s\n",
@@ -319,11 +306,10 @@ run(const CliOptions &options, const std::vector<std::string> &args)
     }
 
     // Exit codes (most severe failure wins): 0 all good, 1 simulation
-    // error or cycle-cap overrun, 3 wall-clock timeout, 4 quarantined
-    // cells only (partial success). 2 is reserved for usage errors.
+    // error or cycle-cap overrun, 3 wall-clock timeout. 2 is reserved for
+    // usage errors.
     switch (worst) {
       case kFailNone: return 0;
-      case kFailQuarantined: return 4;
       case kFailTimeout: return 3;
       case kFailSimError: return 1;
     }
