@@ -297,8 +297,10 @@ cliUsage()
            "                      audits every edge)\n"
            "  --idle-skip MODE    idle-cycle skipper: wheel (event wheel,\n"
            "                      default), scan (legacy full scan), or\n"
-           "                      step (step every cycle); all modes are\n"
-           "                      bit-identical\n"
+           "                      step (step every cycle). Without faults,\n"
+           "                      modes agree on cycles, IPC and traffic;\n"
+           "                      some counters (FineReg stall counts, RMU\n"
+           "                      gathers, energy, depletion cycles) differ\n"
            "  --watchdog-cycles N deadlock watchdog threshold (0 = off,\n"
            "                      default 2000000)\n"
            "  --fault-seed N      enable deterministic fault injection\n"

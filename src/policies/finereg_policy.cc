@@ -33,6 +33,7 @@ FineRegPolicy::onBind()
     rmu_config.fullContextBackup = pc.fullContextBackup;
     rmu_config.dropLiveReg = pc.dropLiveReg;
 
+    SwitchingPolicy::onBind();
     states_.clear();
     for (unsigned s = 0; s < gpu().config().numSms; ++s) {
         auto st = std::make_unique<SmState>();
@@ -48,53 +49,45 @@ FineRegPolicy::onBind()
     noPartner_ = &gpu().stats().counter("finereg.no_partner");
 }
 
-Cta *
-FineRegPolicy::bestPendingCta(Sm &sm, Cycle at_most) const
+SwitchingPolicy::Room
+FineRegPolicy::roomForFresh(const Sm &sm) const
 {
-    SmState &st = state(sm);
-    // O(1) fast path: even the soonest pending CTA misses at_most. The
-    // slow scan below still decides ties in residentCtas order, so the
-    // pick is bit-identical to the pre-fast-path code.
-    if (st.pendingReady.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        // policyReadyCycle mirrors st.pendingReady (audit-checked).
-        const Cycle ready = cta->policyReadyCycle;
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
-        }
-    }
-    return best;
+    return state(sm).acrf->canAllocate(
+               sm.context().kernel().warpRegsPerCta())
+               ? Room::Yes
+               : Room::No;
 }
 
 void
-FineRegPolicy::restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency)
+FineRegPolicy::allocate(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
+    cta.regAllocHandle =
+        st.acrf->allocate(sm.context().kernel().warpRegsPerCta());
+    st.monitor.onLaunch(cta.gridId());
+}
 
-    cta.regAllocHandle = st.acrf->allocate(kernel.warpRegsPerCta());
+SwitchingPolicy::Room
+FineRegPolicy::tryResume(Sm &sm, Cta &cta, Cycle now, Cycle latency)
+{
+    SmState &st = state(sm);
     st.posScratch.resize(cta.numWarps());
     st.pcrf->restoreCtaLastPositions(cta.gridId(), st.posScratch);
-    st.pendingReady.erase(cta.gridId());
-    cta.policyReadyCycle = kNoCycle;
-
-    st.monitor.setContext(cta.gridId(), ContextLocation::Pipeline);
-    st.monitor.setRegisters(cta.gridId(), RegisterLocation::Acrf);
-    sm.resumeCta(cta, now, extra_latency);
-    wakeWarpsAsRegistersArrive(sm, cta, st.posScratch, now + extra_latency);
+    reactivate(sm, cta, now, latency);
+    return Room::Yes;
 }
 
 void
-FineRegPolicy::wakeWarpsAsRegistersArrive(
-    Sm &sm, Cta &cta, const std::vector<unsigned> &last_pos, Cycle start)
+FineRegPolicy::reactivate(Sm &sm, Cta &cta, Cycle now, Cycle latency)
 {
+    SmState &st = state(sm);
+    cta.regAllocHandle =
+        st.acrf->allocate(sm.context().kernel().warpRegsPerCta());
+    st.monitor.setContext(cta.gridId(), ContextLocation::Pipeline);
+    st.monitor.setRegisters(cta.gridId(), RegisterLocation::Acrf);
+    sm.resumeCta(cta, now, latency);
     if (config().policy.zeroSwitchLatency)
         return;
-    SmState &st = state(sm);
     // The PCRF chain walk restores one entry per cycle after the fixed
     // tag+register access (Sec. V-E); each warp may issue as soon as its
     // own registers have landed, so earlier chain positions wake sooner.
@@ -102,7 +95,8 @@ FineRegPolicy::wakeWarpsAsRegistersArrive(
         if (warp->finished())
             continue;
         warp->setEarliestIssue(
-            start + st.rmu->transferLatency(last_pos[warp->id()]));
+            now + latency +
+            st.rmu->transferLatency(st.posScratch[warp->id()]));
     }
 }
 
@@ -119,10 +113,7 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
             ? now
             : std::max(gather.bitvecReadyCycle, now) +
                   st.rmu->transferLatency(gather.totalRegs);
-    const Cycle pending_ready =
-        std::max(cta.estimateReadyCycle(now), drain_done);
-    st.pendingReady.set(cta.gridId(), pending_ready);
-    cta.policyReadyCycle = pending_ready;
+    park(sm, cta, std::max(cta.estimateReadyCycle(now), drain_done));
 
     // Architecturally, only the gathered (live) registers survive the
     // swap: everything else is dropped and its value becomes undefined.
@@ -145,167 +136,73 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
     st.monitor.setRegisters(cta.gridId(), RegisterLocation::Pcrf);
 }
 
-void
-FineRegPolicy::fillActiveSlots(Sm &sm, Cycle now)
+SwitchingPolicy::SwitchOut
+FineRegPolicy::switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready_pending)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
+    stalledFound_->inc();
 
-    unsigned launched = 0;
-    while (sm.canActivateCta()) {
-        // Ready pending CTAs restore from the PCRF first.
-        if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = bestPendingCta(sm, now)) {
-                restoreCta(sm, *pending, now, 0);
-                continue;
-            }
-        }
-        // Fresh grid CTAs while the ACRF and shared memory have room.
-        if (launched < 2 && dispatcher().hasWork() &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            st.acrf->canAllocate(warp_regs) && sm.hasResidencyHeadroom()) {
-            Cta *cta = sm.launchCta(dispatcher().pop(), now);
-            cta->regAllocHandle = st.acrf->allocate(warp_regs);
-            st.monitor.onLaunch(cta->gridId());
-            ++launched;
-            continue;
-        }
-        // Anti-idle fallback: restore the soonest pending CTA.
-        if (launched > 0)
-            break;
-        if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
-                restoreCta(sm, *pending, now, 0);
-                continue;
-            }
-        }
-        break;
+    const Rmu::Gather &gather = st.rmu->gatherLiveRegs(cta, now);
+    const unsigned n_live = gather.totalRegs;
+
+    // Injected fault: a canStore query may be forced to report the
+    // PCRF full, pushing the switch onto the Fig. 6(b) swap path.
+    FaultInjector *fault = gpu().faultInjector();
+    if (st.pcrf->canStore(n_live) && !(fault && fault->forcePcrfFull())) {
+        // Fig. 6(a): free PCRF slots — evict; the engine introduces a
+        // CTA. The outgoing drain is pipelined through the RMU's staging
+        // buffer (Sec. V-E), so the incoming CTA pays only the fixed
+        // switch initiation cost (plus its own restore chain).
+        evictCta(sm, cta, gather, now);
+        return SwitchOut::Evicted;
     }
-}
 
-void
-FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
-
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-    stalledFound_->inc(stalled.size());
-
-    for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
-        const bool can_grow = dispatcher().hasWork() &&
-                              sm.shmemFree() >= kernel.shmemPerCta() &&
-                              sm.hasResidencyHeadroom() &&
-                              !pending_saturated;
-        Cta *ready_pending = bestPendingCta(sm, now);
-        if (!can_grow && !ready_pending) {
-            noPartner_->inc();
-            continue;
-        }
-
-        const Rmu::Gather &gather = st.rmu->gatherLiveRegs(*cta, now);
-        const unsigned n_live = gather.totalRegs;
-        // The outgoing drain is pipelined through the RMU's staging buffer
-        // (Sec. V-E), so the incoming CTA pays only the fixed switch
-        // initiation cost (plus its own restore chain when resuming).
-        const Cycle base_latency =
-            config().policy.zeroSwitchLatency
-                ? 0
-                : config().policy.switchBaseLatency;
-
-        // Injected fault: a canStore query may be forced to report the
-        // PCRF full, pushing the switch onto the Fig. 6(b) swap path.
-        FaultInjector *fault = gpu().faultInjector();
-        const bool pcrf_has_room =
-            st.pcrf->canStore(n_live) && !(fault && fault->forcePcrfFull());
-
-        if (pcrf_has_room) {
-            // Fig. 6(a): free PCRF slots — evict and introduce a CTA.
-            evictCta(sm, *cta, gather, now);
-            if (ready_pending) {
-                restoreCta(sm, *ready_pending, now, base_latency);
-            } else {
-                Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-                fresh->regAllocHandle = st.acrf->allocate(warp_regs);
-                st.monitor.onLaunch(fresh->gridId());
-                for (auto &warp : fresh->warps())
-                    warp->setEarliestIssue(now + base_latency);
-            }
-            continue;
-        }
-
-        // Fig. 6(b): PCRF full — context switch only, and only when the
-        // stalled CTA's live set fits the free slots plus those the
-        // departing pending CTA releases (Sec. V-E). If the soonest-ready
-        // pending CTA's chain is too short to make room, try other ready
-        // CTAs whose chains free enough entries.
-        if (ready_pending &&
-            n_live > st.pcrf->freeEntries() +
-                         st.pcrf->liveCountOf(ready_pending->gridId())) {
-            Cta *fitting = nullptr;
-            for (Cta *candidate : sm.pendingCtaList()) {
-                if (candidate->policyReadyCycle > now)
-                    continue;
-                if (n_live <= st.pcrf->freeEntries() +
-                                  st.pcrf->liveCountOf(candidate->gridId())) {
-                    fitting = candidate;
-                    break;
-                }
-            }
-            if (fitting)
-                ready_pending = fitting;
-        }
-        if (ready_pending) {
-            const unsigned freed =
-                st.pcrf->liveCountOf(ready_pending->gridId());
-            if (n_live <= st.pcrf->freeEntries() + freed) {
-                // Stage the pending CTA's registers through the RMU's
-                // 128-byte buffer: drain its PCRF chain first so the
-                // stalled CTA's live set fits, then swap slots.
-                st.posScratch.resize(ready_pending->numWarps());
-                st.pcrf->restoreCtaLastPositions(ready_pending->gridId(),
-                                                 st.posScratch);
-
-                evictCta(sm, *cta, gather, now);
-
-                ready_pending->regAllocHandle =
-                    st.acrf->allocate(warp_regs);
-                st.pendingReady.erase(ready_pending->gridId());
-                ready_pending->policyReadyCycle = kNoCycle;
-                st.monitor.setContext(ready_pending->gridId(),
-                                      ContextLocation::Pipeline);
-                st.monitor.setRegisters(ready_pending->gridId(),
-                                        RegisterLocation::Acrf);
-                sm.resumeCta(*ready_pending, now, base_latency);
-                wakeWarpsAsRegistersArrive(sm, *ready_pending,
-                                           st.posScratch,
-                                           now + base_latency);
+    // Fig. 6(b): PCRF full — context switch only, and only when the
+    // stalled CTA's live set fits the free slots plus those the
+    // departing pending CTA releases (Sec. V-E). If the soonest-ready
+    // pending CTA's chain is too short to make room, try other ready
+    // CTAs whose chains free enough entries.
+    if (ready_pending &&
+        n_live > st.pcrf->freeEntries() +
+                     st.pcrf->liveCountOf(ready_pending->gridId())) {
+        for (Cta *candidate : sm.pendingCtaList()) {
+            if (candidate->policyReadyCycle > now)
                 continue;
+            if (n_live <= st.pcrf->freeEntries() +
+                              st.pcrf->liveCountOf(candidate->gridId())) {
+                ready_pending = candidate;
+                break;
             }
         }
-
+    }
+    if (!ready_pending ||
+        n_live > st.pcrf->freeEntries() +
+                     st.pcrf->liveCountOf(ready_pending->gridId())) {
         // Sec. V-B "rare situations": the stalled CTA must stay in the
-        // ACRF until the PCRF drains. This is a register-file-depletion
-        // stall when there is otherwise runnable work.
-        if (ready_pending || dispatcher().hasWork())
-            st.pcrfBlocked = true;
+        // ACRF until the PCRF drains.
+        return SwitchOut::Refused;
     }
+
+    // Stage the pending CTA's registers through the RMU's 128-byte
+    // buffer: drain its PCRF chain first so the stalled CTA's live set
+    // fits, then swap slots.
+    st.posScratch.resize(ready_pending->numWarps());
+    st.pcrf->restoreCtaLastPositions(ready_pending->gridId(), st.posScratch);
+    evictCta(sm, cta, gather, now);
+    unpark(sm, *ready_pending);
+    reactivate(sm, *ready_pending, now, switchLatency());
+    return SwitchOut::Swapped;
 }
 
 void
-FineRegPolicy::tick(Sm &sm, Cycle now)
+FineRegPolicy::noPartner(Sm &, Cta &, Cycle)
 {
-    SmState &st = state(sm);
-    st.pcrfBlocked = false;
-    fillActiveSlots(sm, now);
-    switchStalledCtas(sm, now);
+    stalledFound_->inc();
+    noPartner_->inc();
 }
 
 void
-FineRegPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
+FineRegPolicy::release(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
     if (cta.regAllocHandle == kInvalidId) {
@@ -314,28 +211,12 @@ FineRegPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
     }
     st.acrf->free(cta.regAllocHandle);
     st.monitor.onRetire(cta.gridId());
-    st.pendingReady.erase(cta.gridId());
-    cta.policyReadyCycle = kNoCycle;
-}
-
-bool
-FineRegPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
-{
-    return state(sm).pcrfBlocked;
-}
-
-Cycle
-FineRegPolicy::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    const SmState &st = state(sm);
-    if (st.pendingReady.empty())
-        return kNoCycle;
-    return std::max(st.pendingReady.minReady(), now + 1);
 }
 
 void
 FineRegPolicy::audit(const Sm &sm, Cycle now) const
 {
+    SwitchingPolicy::audit(sm, now);
     const SmState &st = state(sm);
     const std::uint32_t sm_id = sm.id();
     const Kernel &kernel = sm.context().kernel();
@@ -399,16 +280,10 @@ FineRegPolicy::audit(const Sm &sm, Cycle now) const
                                "register allocation",
                                id, sm_id, now);
             }
-            if (!st.pendingReady.contains(id)) {
+            // The engine's audit pins the mirror to the pending-ready set.
+            if (cta->policyReadyCycle == kNoCycle) {
                 raiseInvariant("monitor-state",
                                "pending CTA has no operand-ready estimate",
-                               id, sm_id, now);
-            }
-            if (cta->policyReadyCycle !=
-                st.pendingReady.readyCycle(id)) {
-                raiseInvariant("monitor-state",
-                               "CTA pending-ready mirror diverges from the "
-                               "tracked operand-ready estimate",
                                id, sm_id, now);
             }
         }

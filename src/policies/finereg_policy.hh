@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "policies/pending_ready.hh"
-#include "policies/policy.hh"
+#include "policies/switching_policy.hh"
 #include "sm/sm.hh"
 #include "regfile/cta_status_monitor.hh"
 #include "regfile/pcrf.hh"
@@ -30,15 +29,10 @@
 namespace finereg
 {
 
-class FineRegPolicy : public Policy
+class FineRegPolicy : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "FineReg"; }
-
-    void tick(Sm &sm, Cycle now) override;
-    void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    bool rfDepletionBlocked(const Sm &sm, Cycle now) const override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Invariant auditor: PCRF chains, ACRF accounting, Table IV states. */
     void audit(const Sm &sm, Cycle now) const override;
@@ -58,18 +52,35 @@ class FineRegPolicy : public Policy
         return *state(sm).acrf;
     }
 
-    /** Operand-ready estimate of pending CTA @p cta (0 if untracked). */
-    Cycle pendingReadyOf(const Sm &sm, GridCtaId cta) const
-    {
-        return state(sm).pendingReady.readyCycle(cta, 0);
-    }
-
     /** Mutable introspection for corruption/fault-injection tests. */
     Pcrf &mutablePcrfOf(const Sm &sm) { return *state(sm).pcrf; }
     RegFileAllocator &mutableAcrfOf(const Sm &sm) { return *state(sm).acrf; }
 
   protected:
     void onBind() override;
+
+    /**
+     * The context store: an active CTA holds a full ACRF allocation, a
+     * suspended one only its live registers as a PCRF chain. Switching a
+     * CTA out frees its ACRF allocation, so growth needs no register room
+     * and a resume after a switch-out always fits; a ready pending CTA is
+     * preferred over a fresh one. A refill restore pays only its chain
+     * walk, not the switch initiation cost.
+     */
+    Room roomForFresh(const Sm &sm) const override;
+    bool roomToGrow(const Sm &) const override { return true; }
+    void allocate(Sm &sm, Cta &cta) override;
+    bool
+    roomToResume(const Sm &sm) const override
+    {
+        return roomForFresh(sm) == Room::Yes;
+    }
+    Room tryResume(Sm &sm, Cta &cta, Cycle now, Cycle latency) override;
+    SwitchOut switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready) override;
+    void noPartner(Sm &sm, Cta &cta, Cycle now) override;
+    void release(Sm &sm, Cta &cta) override;
+    Cycle refillLatency() const override { return 0; }
+    bool resumeBeforeLaunch() const override { return true; }
 
   private:
     struct SmState
@@ -79,12 +90,6 @@ class FineRegPolicy : public Policy
         std::unique_ptr<Rmu> rmu;
         CtaStatusMonitor monitor;
 
-        /** Pending CTA -> estimated operand-ready cycle. */
-        PendingReadySet pendingReady;
-
-        /** Fig. 14 flag: a switch was blocked by PCRF depletion. */
-        bool pcrfBlocked = false;
-
         /** Scratch for restoreCtaLastPositions (per-warp 1-based chain
          * position of the last restored register); reused every switch
          * so the hot path never allocates. */
@@ -93,29 +98,19 @@ class FineRegPolicy : public Policy
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
 
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
-
-    /** Restore a pending CTA into the ACRF (allocates full set). */
-    void restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency);
-
     /**
-     * Pipelined chain walk: wake each warp when its registers land.
-     * @p last_pos holds, per warp, the 1-based chain position of the
-     * warp's final register (0 = none in the chain).
+     * Give pending @p cta, whose PCRF chain was just drained into
+     * posScratch, a full ACRF allocation and resume it. Pipelined chain
+     * walk: each warp wakes when its own registers land.
      */
-    void wakeWarpsAsRegistersArrive(Sm &sm, Cta &cta,
-                                    const std::vector<unsigned> &last_pos,
-                                    Cycle start);
+    void reactivate(Sm &sm, Cta &cta, Cycle now, Cycle latency);
 
     /** Evict a fully stalled CTA's live registers into the PCRF. */
     void evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather, Cycle now);
 
-    void fillActiveSlots(Sm &sm, Cycle now);
-    void switchStalledCtas(Sm &sm, Cycle now);
-
     mutable std::vector<std::unique_ptr<SmState>> states_;
 
-    /** Per-tick counters, cached at bind so the hot path skips the
+    /** Per-candidate counters, cached at bind so the hot path skips the
      * name-keyed stats lookup. */
     Counter *stalledFound_ = nullptr;
     Counter *noPartner_ = nullptr;

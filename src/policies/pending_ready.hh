@@ -5,8 +5,9 @@
  * so the hot-path questions — "is anything ready yet?" and "when is the
  * next event?" — are O(1) instead of a scan over every pending CTA.
  *
- * The map stays the source of truth (policies and the watchdog iterate
- * it, tests introspect it); the heap only accelerates minReady(). A heap
+ * The map stays the source of truth for point lookups; the heap only
+ * accelerates minReady(). Scans over the pending CTAs read the
+ * Cta::policyReadyCycle mirror instead (see SwitchingPolicy). A heap
  * entry is valid iff the map still holds exactly that (cta, ready) pair,
  * so overwrites and erasures need no heap surgery — stale entries are
  * discarded when they surface at the top.
@@ -29,8 +30,6 @@ namespace finereg
 class PendingReadySet
 {
   public:
-    using Map = std::unordered_map<GridCtaId, Cycle>;
-
     void
     set(GridCtaId cta, Cycle ready)
     {
@@ -43,12 +42,12 @@ class PendingReadySet
 
     bool contains(GridCtaId cta) const { return map_.count(cta) != 0; }
 
-    /** Ready cycle of @p cta, or @p absent when it is not pending. */
+    /** Ready cycle of @p cta, or kNoCycle when it is not pending. */
     Cycle
-    readyCycle(GridCtaId cta, Cycle absent = kNoCycle) const
+    readyCycle(GridCtaId cta) const
     {
         const auto it = map_.find(cta);
-        return it == map_.end() ? absent : it->second;
+        return it == map_.end() ? kNoCycle : it->second;
     }
 
     /**
@@ -70,13 +69,9 @@ class PendingReadySet
     }
 
     std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-
-    /** The underlying map, for iteration and introspection. */
-    const Map &map() const { return map_; }
 
   private:
-    Map map_;
+    std::unordered_map<GridCtaId, Cycle> map_;
     mutable std::vector<std::pair<Cycle, GridCtaId>> heap_;
 };
 

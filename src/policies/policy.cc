@@ -1,9 +1,5 @@
 #include "policies/policy.hh"
 
-#include <algorithm>
-
-#include "sm/cta.hh"
-
 #include "common/log.hh"
 #include "core/gpu_config.hh"
 #include "policies/baseline_policy.hh"
@@ -28,53 +24,6 @@ const GpuConfig &
 Policy::config() const
 {
     return gpu_->config();
-}
-
-unsigned
-Policy::baselineActiveEstimate(const Sm &sm) const
-{
-    if (baselineEstimate_ != 0)
-        return baselineEstimate_;
-    const Kernel &kernel = sm.context().kernel();
-    const SmConfig &smc = config().sm;
-    unsigned estimate = std::min(
-        {smc.maxCtas, smc.maxWarps / kernel.warpsPerCta(),
-         smc.maxThreads / kernel.threadsPerCta()});
-    const std::uint64_t cta_reg_bytes = kernel.regBytesPerCta();
-    if (cta_reg_bytes > 0) {
-        estimate = std::min<std::uint64_t>(
-            estimate, smc.regFileBytes / cta_reg_bytes);
-    }
-    if (kernel.shmemPerCta() > 0) {
-        estimate = std::min<std::uint64_t>(
-            estimate, smc.shmemBytes / kernel.shmemPerCta());
-    }
-    baselineEstimate_ = std::max(1u, estimate);
-    return baselineEstimate_;
-}
-
-bool
-Policy::pendingSaturated(const Sm &sm) const
-{
-    return sm.pendingCtaCount() >=
-           config().policy.pendingGrowthFactor *
-               baselineActiveEstimate(sm);
-}
-
-const std::vector<Cta *> &
-Policy::collectStalledCtas(Sm &sm, Cycle now) const
-{
-    std::vector<Cta *> &stalled = stalledScratch_;
-    stalled.clear();
-    // activeCtaList() is the Active subset of residentCtas() in the same
-    // (launch-sequence) order, so the collected order is unchanged.
-    for (Cta *cta : sm.activeCtaList()) {
-        if (cta->lastIssueCycle() == now)
-            continue;
-        if (cta->stalledOnMemoryCached(now))
-            stalled.push_back(cta);
-    }
-    return stalled;
 }
 
 bool

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -75,39 +74,11 @@ class Policy
     CtaDispatcher &dispatcher() const { return *dispatcher_; }
     const GpuConfig &config() const;
 
-    /**
-     * CTAs per SM a conventional GPU could keep active for this kernel:
-     * min(CTA slots, warp slots, thread slots, full-RF fit, shmem fit).
-     * Used to scale the pending-growth damper. A pure function of the
-     * kernel and the SM config — both fixed for a run — so it is computed
-     * once and cached.
-     */
-    unsigned baselineActiveEstimate(const Sm &sm) const;
-
-    /** True once the pending set is large enough to hide stalls; growth
-     * beyond this only enlarges the cache working set. */
-    bool pendingSaturated(const Sm &sm) const;
-
-    /**
-     * Active CTAs whose warps are all blocked on global memory this
-     * cycle (Sec. IV-A's switch candidates). Memoizes each CTA's
-     * stalled-until horizon so warps are not rescanned every cycle.
-     * Returns a reference to an internal scratch vector, valid until the
-     * next call (one caller per policy tick).
-     */
-    const std::vector<Cta *> &collectStalledCtas(Sm &sm, Cycle now) const;
-
   private:
     Gpu *gpu_ = nullptr;
 
     /** Cached at bind(): the dispatcher is looked up once, not per tick. */
     CtaDispatcher *dispatcher_ = nullptr;
-
-    /** Cache for baselineActiveEstimate (0 = not yet computed; the
-     * estimate itself is always >= 1). */
-    mutable unsigned baselineEstimate_ = 0;
-
-    mutable std::vector<Cta *> stalledScratch_;
 };
 
 /** Instantiate the policy selected by @p config.policy.kind. */

@@ -1,8 +1,5 @@
 #include "policies/reg_dram_policy.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
 #include "core/gpu_config.hh"
 #include "sm/gpu.hh"
 
@@ -13,9 +10,7 @@ void
 RegDramPolicy::onBind()
 {
     VirtualThreadPolicy::onBind();
-    dramStates_.clear();
-    for (unsigned s = 0; s < gpu().config().numSms; ++s)
-        dramStates_.push_back(std::make_unique<DramState>());
+    dramStates_.assign(gpu().config().numSms, DramState{});
 }
 
 std::uint64_t
@@ -25,33 +20,18 @@ RegDramPolicy::contextBytes(const Sm &sm) const
 }
 
 void
-RegDramPolicy::demoteToDram(Sm &sm, Cta &cta, Cycle now)
+RegDramPolicy::release(Sm &sm, Cta &cta)
 {
-    SmState &st = state(sm);
-    DramState &ds = dram(sm);
-
-    st.rf->free(cta.regAllocHandle);
-    cta.regAllocHandle = kInvalidId;
-
-    // Stream the full register context out; the channel time is charged
-    // but the SM does not wait on the store.
-    sm.mem().offchipTransfer(now, contextBytes(sm),
-                             TrafficClass::CtaContext);
-
-    ds.inDram.set(cta.gridId(),
-                  st.pendingReady.readyCycle(cta.gridId(), now));
-    st.pendingReady.erase(cta.gridId());
+    dram(sm).inDram.erase(cta.gridId());
+    if (cta.regAllocHandle != kInvalidId)
+        VirtualThreadPolicy::release(sm, cta);
 }
 
 void
 RegDramPolicy::promoteFromDram(Sm &sm, Cta &cta, Cycle now)
 {
-    SmState &st = state(sm);
-    DramState &ds = dram(sm);
-    const Kernel &kernel = sm.context().kernel();
-
-    cta.regAllocHandle = st.rf->allocate(kernel.warpRegsPerCta());
-    ds.inDram.erase(cta.gridId());
+    allocate(sm, cta);
+    dram(sm).inDram.erase(cta.gridId());
 
     const Cycle loaded = sm.mem().offchipTransfer(
         now, contextBytes(sm), TrafficClass::CtaContext);
@@ -59,9 +39,9 @@ RegDramPolicy::promoteFromDram(Sm &sm, Cta &cta, Cycle now)
 }
 
 Cta *
-RegDramPolicy::bestDramPendingCta(Sm &sm, Cycle at_most) const
+RegDramPolicy::bestDramPendingCta(const Sm &sm, Cycle at_most) const
 {
-    DramState &ds = dram(sm);
+    const DramState &ds = dram(sm);
     // O(1) fast path: nothing in the DRAM tier can be ready by at_most.
     if (ds.inDram.minReady() > at_most)
         return nullptr;
@@ -77,154 +57,73 @@ RegDramPolicy::bestDramPendingCta(Sm &sm, Cycle at_most) const
     return best;
 }
 
-void
-RegDramPolicy::fillSlotsWithDramTier(Sm &sm, Cycle now)
+bool
+RegDramPolicy::resumeSecondTier(Sm &sm, Cycle now)
 {
-    SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
+    if (roomForFresh(sm) != Room::Yes)
+        return false;
+    Cta *dram_cta = bestDramPendingCta(sm, now);
+    if (!dram_cta)
+        return false;
+    promoteFromDram(sm, *dram_cta, now);
+    return true;
+}
 
-    unsigned launched = 0;
-    while (sm.canActivateCta()) {
-        // On-chip pending CTAs resume cheaply; prefer them.
-        if (Cta *pending = bestPendingCta(sm, now)) {
-            st.pendingReady.erase(pending->gridId());
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        // Ready DRAM-tier CTAs next, if their registers fit again.
-        if (st.rf->canAllocate(warp_regs)) {
-            if (Cta *dram_cta = bestDramPendingCta(sm, now)) {
-                promoteFromDram(sm, *dram_cta, now);
-                continue;
-            }
-        }
-        // Fresh grid CTAs.
-        if (launched < 2 && dispatcher().hasWork() &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            st.rf->canAllocate(warp_regs) && sm.hasResidencyHeadroom()) {
-            Cta *cta = sm.launchCta(dispatcher().pop(), now);
-            cta->regAllocHandle = st.rf->allocate(warp_regs);
-            ++launched;
-            continue;
-        }
-        // Anti-idle fallback: not-yet-ready *on-chip* pending CTAs only.
-        // Unready DRAM-tier CTAs are left alone — promoting them early
-        // would ping-pong full contexts across the channel; the policy's
-        // nextEventCycle() wakes the device when one becomes ready.
-        if (launched > 0)
-            break;
-        if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
-            st.pendingReady.erase(pending->gridId());
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        break;
-    }
+Cycle
+RegDramPolicy::secondTierReady(const Sm &sm) const
+{
+    return dram(sm).inDram.minReady();
 }
 
 void
-RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
+RegDramPolicy::noPartner(Sm &sm, Cta &cta, Cycle now)
 {
-    SmState &st = state(sm);
     DramState &ds = dram(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
     // The paper tunes the DRAM-pending count per application (Sec. VI-A).
     // For very large contexts the best setting is zero — the transfer
     // cost can never be recovered — which reduces this scheme to VT.
     const unsigned dram_cap =
         contextBytes(sm) > 16 * 1024 ? 0
                                      : config().policy.maxDramPendingCtas;
-
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-
-    for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
-        // (a) VT-style growth inside the register file.
-        if (!pending_saturated && dispatcher().hasWork() &&
-            st.rf->canAllocate(warp_regs) &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            sm.hasResidencyHeadroom()) {
-            st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
-            sm.suspendCta(*cta, now);
-            Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-            fresh->regAllocHandle = st.rf->allocate(warp_regs);
-            for (auto &warp : fresh->warps())
-                warp->setEarliestIssue(now + switchLatency());
-            continue;
-        }
-        // (b) Swap with a ready on-chip pending CTA.
-        if (Cta *ready = bestPendingCta(sm, now)) {
-            st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
-            sm.suspendCta(*cta, now);
-            st.pendingReady.erase(ready->gridId());
-            sm.resumeCta(*ready, now, switchLatency());
-            continue;
-        }
-        // (c) DRAM tier: demote the stalled CTA and use the freed
-        //     registers for a fresh CTA or a ready DRAM-tier CTA. Only
-        //     profitable when the stall comfortably outlasts the
-        //     round-trip of the full register context through the DRAM
-        //     channel — otherwise the context traffic melts the channel
-        //     (the effect Fig. 15 charges this scheme for).
-        const Cycle ready_estimate = cta->estimateReadyCycle(now);
-        const auto ctx_cycles = static_cast<Cycle>(
-            contextBytes(sm) / config().mem.dram.bytesPerCycle);
-        const Cycle profit_threshold =
-            config().mem.dram.accessLatency / 2 + 4 * ctx_cycles;
-        const bool dram_room =
-            ds.inDram.size() < dram_cap && !pending_saturated &&
-            ready_estimate > now + profit_threshold &&
-            now >= ds.nextDemoteAllowed;
-        if (dram_room && sm.hasResidencyHeadroom() &&
-            (dispatcher().hasWork() ||
-             bestDramPendingCta(sm, now) != nullptr)) {
-            st.pendingReady.set(cta->gridId(), ready_estimate);
-            sm.suspendCta(*cta, now);
-            demoteToDram(sm, *cta, now);
-            // Budget context movement to ~8% of channel bandwidth: a
-            // demote+promote pair moves 2x the context, across all SMs.
-            ds.nextDemoteAllowed =
-                now + 2 * ctx_cycles * gpu().config().numSms * 12;
-
-            if (Cta *dram_ready = bestDramPendingCta(sm, now)) {
-                promoteFromDram(sm, *dram_ready, now);
-            } else if (dispatcher().hasWork() &&
-                       st.rf->canAllocate(warp_regs) &&
-                       sm.shmemFree() >= kernel.shmemPerCta()) {
-                Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-                fresh->regAllocHandle = st.rf->allocate(warp_regs);
-                for (auto &warp : fresh->warps())
-                    warp->setEarliestIssue(now + switchLatency());
-            }
-        }
+    // Cheap gates first: the readiness estimate sorts a per-warp vector.
+    if (ds.inDram.size() >= dram_cap || pendingSaturated(sm) ||
+        now < ds.nextDemoteAllowed || !sm.hasResidencyHeadroom() ||
+        !(dispatcher().hasWork() || bestDramPendingCta(sm, now))) {
+        return;
     }
-}
+    // Demote only when the stall comfortably outlasts the round-trip of
+    // the full register context through the DRAM channel — otherwise the
+    // context traffic melts the channel (the effect Fig. 15 charges this
+    // scheme for).
+    const Cycle ready_estimate = cta.estimateReadyCycle(now);
+    const auto ctx_cycles = static_cast<Cycle>(
+        contextBytes(sm) / config().mem.dram.bytesPerCycle);
+    if (ready_estimate <=
+        now + config().mem.dram.accessLatency / 2 + 4 * ctx_cycles) {
+        return;
+    }
 
-void
-RegDramPolicy::tick(Sm &sm, Cycle now)
-{
-    fillSlotsWithDramTier(sm, now);
-    switchStalledWithDramTier(sm, now);
-}
+    // Demote: free the RF and stream the full register context out; the
+    // channel time is charged but the SM does not wait on the store.
+    sm.suspendCta(cta, now);
+    rf(sm).free(cta.regAllocHandle);
+    cta.regAllocHandle = kInvalidId;
+    sm.mem().offchipTransfer(now, contextBytes(sm),
+                             TrafficClass::CtaContext);
+    ds.inDram.set(cta.gridId(), ready_estimate);
+    // Budget context movement to ~8% of channel bandwidth: a
+    // demote+promote pair moves 2x the context, across all SMs.
+    ds.nextDemoteAllowed = now + 2 * ctx_cycles * gpu().config().numSms * 12;
 
-void
-RegDramPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle now)
-{
-    dram(sm).inDram.erase(cta.gridId());
-    if (cta.regAllocHandle != kInvalidId)
-        VirtualThreadPolicy::onCtaFinished(sm, cta, now);
-}
-
-Cycle
-RegDramPolicy::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    Cycle next = VirtualThreadPolicy::nextEventCycle(sm, now);
-    const PendingReadySet &in_dram = dram(sm).inDram;
-    if (!in_dram.empty())
-        next = std::min(next, std::max(in_dram.minReady(), now + 1));
-    return next;
+    // Use the freed registers for a ready DRAM-tier CTA or a fresh one.
+    if (Cta *dram_ready = bestDramPendingCta(sm, now)) {
+        promoteFromDram(sm, *dram_ready, now);
+    } else if (dispatcher().hasWork() && roomForFresh(sm) == Room::Yes &&
+               sm.shmemFree() >= sm.context().kernel().shmemPerCta()) {
+        Cta *fresh = launchFresh(sm, now);
+        for (auto &warp : fresh->warps())
+            warp->setEarliestIssue(now + switchLatency());
+    }
 }
 
 } // namespace finereg

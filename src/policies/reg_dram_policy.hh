@@ -24,12 +24,17 @@ class RegDramPolicy : public VirtualThreadPolicy
   public:
     const char *name() const override { return "Reg+DRAM"; }
 
-    void tick(Sm &sm, Cycle now) override;
-    void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
-
   protected:
     void onBind() override;
+
+    void release(Sm &sm, Cta &cta) override;
+
+    /** No on-chip partner: demote the stalled CTA to DRAM when that pays. */
+    void noPartner(Sm &sm, Cta &cta, Cycle now) override;
+
+    /** Promote a ready DRAM-tier CTA when its registers fit again. */
+    bool resumeSecondTier(Sm &sm, Cycle now) override;
+    Cycle secondTierReady(const Sm &sm) const override;
 
   private:
     struct DramState
@@ -44,23 +49,17 @@ class RegDramPolicy : public VirtualThreadPolicy
         Cycle nextDemoteAllowed = 0;
     };
 
-    DramState &dram(const Sm &sm) const { return *dramStates_[sm.id()]; }
+    DramState &dram(const Sm &sm) const { return dramStates_[sm.id()]; }
 
     /** Full per-CTA register context size in bytes. */
     std::uint64_t contextBytes(const Sm &sm) const;
 
-    /** Demote a (suspended) CTA's registers to DRAM, freeing its RF. */
-    void demoteToDram(Sm &sm, Cta &cta, Cycle now);
-
     /** Promote a DRAM CTA back: allocate RF, stream context in, resume. */
     void promoteFromDram(Sm &sm, Cta &cta, Cycle now);
 
-    Cta *bestDramPendingCta(Sm &sm, Cycle at_most) const;
+    Cta *bestDramPendingCta(const Sm &sm, Cycle at_most) const;
 
-    void fillSlotsWithDramTier(Sm &sm, Cycle now);
-    void switchStalledWithDramTier(Sm &sm, Cycle now);
-
-    mutable std::vector<std::unique_ptr<DramState>> dramStates_;
+    mutable std::vector<DramState> dramStates_;
 };
 
 } // namespace finereg

@@ -22,6 +22,7 @@ RegMutexPolicy::onBind()
         raiseConfigError(oss.str());
     }
 
+    SwitchingPolicy::onBind();
     const std::uint64_t rf_bytes = gpu().config().sm.regFileBytes;
     const auto srp_bytes = static_cast<std::uint64_t>(rf_bytes * srp_ratio);
 
@@ -34,14 +35,6 @@ RegMutexPolicy::onBind()
             "srp_sm" + std::to_string(s), srp_bytes);
         states_.push_back(std::move(st));
     }
-}
-
-Cycle
-RegMutexPolicy::switchLatency() const
-{
-    return config().policy.zeroSwitchLatency
-               ? 0
-               : config().policy.switchBaseLatency;
 }
 
 unsigned
@@ -73,6 +66,12 @@ RegMutexPolicy::extendedWarpRegsPerCta(const Sm &sm) const
     const unsigned ext =
         kernel.regsPerThread() - brsRegsPerThread(sm);
     return ext * kernel.warpsPerCta();
+}
+
+unsigned
+RegMutexPolicy::brsWarpRegsPerCta(const Sm &sm) const
+{
+    return brsRegsPerThread(sm) * sm.context().kernel().warpsPerCta();
 }
 
 bool
@@ -116,180 +115,81 @@ RegMutexPolicy::liveExtendedRegs(const Sm &sm, const Cta &cta) const
     return live_ext;
 }
 
-Cta *
-RegMutexPolicy::bestPendingCta(Sm &sm, Cycle at_most) const
+SwitchingPolicy::Room
+RegMutexPolicy::roomForFresh(const Sm &sm) const
+{
+    const SmState &st = state(sm);
+    if (!st.brsPool->canAllocate(brsWarpRegsPerCta(sm)))
+        return Room::No;
+    return st.srpPool->canAllocate(extendedWarpRegsPerCta(sm))
+               ? Room::Yes
+               : Room::Depleted;
+}
+
+void
+RegMutexPolicy::allocate(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
-    // O(1) fast path: even the soonest pending CTA misses at_most.
-    if (st.pendingReady.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        const Cycle ready = st.pendingReady.readyCycle(cta->gridId());
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
+    cta.regAllocHandle = st.brsPool->allocate(brsWarpRegsPerCta(sm));
+    setSrpHolding(st, cta.gridId(), extendedWarpRegsPerCta(sm));
+}
+
+SwitchingPolicy::Room
+RegMutexPolicy::tryResume(Sm &sm, Cta &cta, Cycle now, Cycle latency)
+{
+    // A resuming CTA must re-acquire its full extended set from the SRP
+    // before re-entering the pipeline.
+    if (!setSrpHolding(state(sm), cta.gridId(), extendedWarpRegsPerCta(sm)))
+        return Room::Depleted;
+    sm.resumeCta(cta, now, latency);
+    return Room::Yes;
+}
+
+SwitchingPolicy::SwitchOut
+RegMutexPolicy::switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready)
+{
+    // RegMutex does NOT release SRP held by live extended registers
+    // when a CTA stalls; only the dead portion returns to the pool.
+    const unsigned keep =
+        std::min(extendedWarpRegsPerCta(sm), liveExtendedRegs(sm, cta));
+
+    // Value tracking: the released (dead) extended registers lose
+    // their contents; BRS and live extended registers survive.
+    if (CtaValues *values = cta.values()) {
+        const unsigned brs = brsRegsPerThread(sm);
+        const unsigned regs = sm.context().kernel().regsPerThread();
+        const auto &table = sm.context().liveTable();
+        for (const auto &warp : cta.warps()) {
+            if (warp->finished())
+                continue;
+            RegBitVec keep_mask;
+            for (unsigned r = 0; r < brs && r < regs; ++r)
+                keep_mask.set(static_cast<RegIndex>(r));
+            for (const auto &entry : warp->simtStack())
+                keep_mask |= table.lookup(entry.pc);
+            values->dropDeadRegs(warp->id(), keep_mask);
         }
     }
-    return best;
+
+    const SwitchOut out = SwitchingPolicy::switchOut(sm, cta, now, ready);
+    setSrpHolding(state(sm), cta.gridId(), keep);
+    return out;
 }
 
 void
-RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned brs_warp_regs =
-        brsRegsPerThread(sm) * kernel.warpsPerCta();
-    const unsigned ext_regs = extendedWarpRegsPerCta(sm);
-
-    unsigned launched = 0;
-    while (sm.canActivateCta()) {
-        // Resume a ready pending CTA: it must re-acquire its full
-        // extended set from the SRP before re-entering the pipeline.
-        if (Cta *pending = bestPendingCta(sm, now)) {
-            if (!setSrpHolding(st, pending->gridId(), ext_regs)) {
-                st.srpBlocked = true; // ready work blocked on SRP
-                break;
-            }
-            st.pendingReady.erase(pending->gridId());
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        // Launch a fresh CTA: BRS allocation + SRP grant.
-        if (launched < 2 && dispatcher().hasWork() &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            st.brsPool->canAllocate(brs_warp_regs) &&
-            sm.hasResidencyHeadroom()) {
-            if (!st.srpPool->canAllocate(ext_regs)) {
-                st.srpBlocked = true;
-                break;
-            }
-            Cta *cta = sm.launchCta(dispatcher().pop(), now);
-            cta->regAllocHandle = st.brsPool->allocate(brs_warp_regs);
-            setSrpHolding(st, cta->gridId(), ext_regs);
-            ++launched;
-            continue;
-        }
-        // Anti-idle fallback: resume the soonest pending CTA if its SRP
-        // demand fits.
-        if (launched > 0)
-            break;
-        if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
-            if (!setSrpHolding(st, pending->gridId(), ext_regs))
-                break;
-            st.pendingReady.erase(pending->gridId());
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        break;
-    }
-}
-
-void
-RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned brs_warp_regs =
-        brsRegsPerThread(sm) * kernel.warpsPerCta();
-    const unsigned ext_regs = extendedWarpRegsPerCta(sm);
-
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-
-    for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
-        const bool can_grow = dispatcher().hasWork() &&
-                              st.brsPool->canAllocate(brs_warp_regs) &&
-                              sm.shmemFree() >= kernel.shmemPerCta() &&
-                              sm.hasResidencyHeadroom() &&
-                              !pending_saturated;
-        Cta *ready_pending = bestPendingCta(sm, now);
-        if (!can_grow && !ready_pending)
-            continue;
-
-        // RegMutex does NOT release SRP held by live extended registers
-        // when a CTA stalls; only the dead portion returns to the pool.
-        const unsigned keep =
-            std::min(ext_regs, liveExtendedRegs(sm, *cta));
-
-        // Value tracking: the released (dead) extended registers lose
-        // their contents; BRS and live extended registers survive.
-        if (CtaValues *values = cta->values()) {
-            const unsigned brs = brsRegsPerThread(sm);
-            const unsigned regs = kernel.regsPerThread();
-            const auto &table = sm.context().liveTable();
-            for (const auto &warp : cta->warps()) {
-                if (warp->finished())
-                    continue;
-                RegBitVec keep_mask;
-                for (unsigned r = 0; r < brs && r < regs; ++r)
-                    keep_mask.set(static_cast<RegIndex>(r));
-                for (const auto &entry : warp->simtStack())
-                    keep_mask |= table.lookup(entry.pc);
-                values->dropDeadRegs(warp->id(), keep_mask);
-            }
-        }
-
-        st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
-        sm.suspendCta(*cta, now);
-        setSrpHolding(st, cta->gridId(), keep);
-
-        if (can_grow && st.srpPool->canAllocate(ext_regs)) {
-            Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-            fresh->regAllocHandle = st.brsPool->allocate(brs_warp_regs);
-            setSrpHolding(st, fresh->gridId(), ext_regs);
-            for (auto &warp : fresh->warps())
-                warp->setEarliestIssue(now + switchLatency());
-        } else if (ready_pending &&
-                   setSrpHolding(st, ready_pending->gridId(), ext_regs)) {
-            st.pendingReady.erase(ready_pending->gridId());
-            sm.resumeCta(*ready_pending, now, switchLatency());
-        } else if (can_grow || ready_pending) {
-            st.srpBlocked = true; // work existed; SRP said no
-        }
-    }
-}
-
-void
-RegMutexPolicy::tick(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    st.srpBlocked = false;
-    fillActiveSlots(sm, now);
-    switchStalledCtas(sm, now);
-}
-
-void
-RegMutexPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
+RegMutexPolicy::release(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
     st.brsPool->free(cta.regAllocHandle);
     setSrpHolding(st, cta.gridId(), 0);
     st.srpHeld.erase(cta.gridId());
     st.srpHandle.erase(cta.gridId());
-    st.pendingReady.erase(cta.gridId());
-}
-
-bool
-RegMutexPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
-{
-    return state(sm).srpBlocked;
-}
-
-Cycle
-RegMutexPolicy::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    const SmState &st = state(sm);
-    if (st.pendingReady.empty())
-        return kNoCycle;
-    return std::max(st.pendingReady.minReady(), now + 1);
 }
 
 void
 RegMutexPolicy::audit(const Sm &sm, Cycle now) const
 {
+    SwitchingPolicy::audit(sm, now);
     const SmState &st = state(sm);
     unsigned expected_brs = 0;
     for (const auto &cta : sm.residentCtas()) {

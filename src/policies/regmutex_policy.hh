@@ -17,23 +17,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "policies/pending_ready.hh"
-#include "policies/policy.hh"
-#include "sm/sm.hh"
+#include "policies/switching_policy.hh"
 #include "regfile/register_file.hh"
 
 namespace finereg
 {
 
-class RegMutexPolicy : public Policy
+class RegMutexPolicy : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "VT+RegMutex"; }
-
-    void tick(Sm &sm, Cycle now) override;
-    void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    bool rfDepletionBlocked(const Sm &sm, Cycle now) const override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Auditor: BRS allocation accounting and SRP holding conservation. */
     void audit(const Sm &sm, Cycle now) const override;
@@ -47,28 +40,32 @@ class RegMutexPolicy : public Policy
   protected:
     void onBind() override;
 
+    /** The context store: BRS for every resident CTA; active CTAs hold
+     * their full extended set in the SRP, suspended ones keep only the
+     * live part of it. A refused SRP grant is a depletion stall. */
+    Room roomForFresh(const Sm &sm) const override;
+    void allocate(Sm &sm, Cta &cta) override;
+    Room tryResume(Sm &sm, Cta &cta, Cycle now, Cycle latency) override;
+    SwitchOut switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready) override;
+    void release(Sm &sm, Cta &cta) override;
+
   private:
     struct SmState
     {
         std::unique_ptr<RegFileAllocator> brsPool;
         std::unique_ptr<RegFileAllocator> srpPool;
 
-        /** Pending CTA -> estimated ready cycle. */
-        PendingReadySet pendingReady;
-
         /** CTA -> SRP warp-registers currently held. */
         std::unordered_map<GridCtaId, unsigned> srpHeld;
 
         /** CTA -> SRP allocator handle (0 when holding nothing). */
         std::unordered_map<GridCtaId, unsigned> srpHandle;
-
-        /** Fig. 14 flag: this tick, schedulable work was blocked on SRP. */
-        bool srpBlocked = false;
     };
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
 
-    Cycle switchLatency() const;
+    /** BRS warp-registers one CTA holds while resident. */
+    unsigned brsWarpRegsPerCta(const Sm &sm) const;
 
     /** Adjust a CTA's SRP holding to @p target warp-registers; returns
      * false (no change) when growth exceeds the free pool. */
@@ -76,10 +73,6 @@ class RegMutexPolicy : public Policy
 
     /** Live extended warp-registers of a stalled CTA (what it keeps). */
     unsigned liveExtendedRegs(const Sm &sm, const Cta &cta) const;
-
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
-    void fillActiveSlots(Sm &sm, Cycle now);
-    void switchStalledCtas(Sm &sm, Cycle now);
 
     mutable std::vector<std::unique_ptr<SmState>> states_;
 };

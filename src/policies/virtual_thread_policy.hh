@@ -15,22 +15,16 @@
 #include <memory>
 #include <vector>
 
-#include "policies/pending_ready.hh"
-#include "policies/policy.hh"
-#include "sm/sm.hh"
+#include "policies/switching_policy.hh"
 #include "regfile/register_file.hh"
 
 namespace finereg
 {
 
-class VirtualThreadPolicy : public Policy
+class VirtualThreadPolicy : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "VirtualThread"; }
-
-    void tick(Sm &sm, Cycle now) override;
-    void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Auditor: RF accounting over handle-holding resident CTAs (also
      * covers Reg+DRAM, whose demoted CTAs hold no handle). */
@@ -45,34 +39,15 @@ class VirtualThreadPolicy : public Policy
   protected:
     void onBind() override;
 
-    struct SmState
-    {
-        std::unique_ptr<RegFileAllocator> rf;
-        /** Pending CTA -> estimated ready cycle. */
-        PendingReadySet pendingReady;
-    };
+    /** The CTA context store: a suspended CTA keeps its RF allocation. */
+    Room roomForFresh(const Sm &sm) const override;
+    void allocate(Sm &sm, Cta &cta) override;
+    void release(Sm &sm, Cta &cta) override;
 
-    SmState &state(const Sm &sm) const
-    {
-        return *states_[sm.id()];
-    }
-
-    /** Resume ready pending CTAs and launch grid CTAs into free slots. */
-    void fillActiveSlots(Sm &sm, Cycle now);
-
-    /** Pick the pending CTA with the smallest ready cycle (<= @p at_most);
-     * returns nullptr when none qualify. */
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
-
-    /** Detect fully stalled active CTAs and switch them out. */
-    void switchStalledCtas(Sm &sm, Cycle now);
-
-    /** On-chip context switch latency (pipeline drain + shared-memory
-     * context parking), adopted from VT's switching logic. */
-    Cycle switchLatency() const;
+    RegFileAllocator &rf(const Sm &sm) const { return *rfs_[sm.id()]; }
 
   private:
-    mutable std::vector<std::unique_ptr<SmState>> states_;
+    std::vector<std::unique_ptr<RegFileAllocator>> rfs_;
 };
 
 } // namespace finereg

@@ -119,8 +119,14 @@ buildStallDiagnostic(Gpu &gpu, Cycle now, Cycle last_progress)
             oss << "  pending cta " << cta->gridId();
             if (finereg) {
                 oss << ": " << finereg->pcrfOf(*sm).liveCountOf(cta->gridId())
-                    << " live regs in pcrf, ready at cycle "
-                    << finereg->pendingReadyOf(*sm, cta->gridId());
+                    << " live regs in pcrf";
+            }
+            // Switching policies mirror each on-chip pending CTA's ready
+            // cycle into the CTA itself, so this also works through a
+            // policy decorator; a second-tier (DRAM) CTA has none.
+            if (cta->policyReadyCycle != kNoCycle) {
+                oss << (finereg ? ", " : ": ") << "ready at cycle "
+                    << cta->policyReadyCycle;
             }
             oss << "\n";
         }

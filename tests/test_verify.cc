@@ -19,6 +19,7 @@
 #include "verify/invariant_auditor.hh"
 #include "verify/sim_error.hh"
 #include "verify/watchdog.hh"
+#include "workloads/suite.hh"
 
 namespace finereg
 {
@@ -236,6 +237,33 @@ TEST(InvariantAuditorTest, DetectsCorruptedPcrfChain)
     }
 }
 
+TEST(InvariantAuditorTest, DetectsPendingReadyMirrorDrift)
+{
+    for (const PolicyKind kind :
+         {PolicyKind::VirtualThread, PolicyKind::RegDram,
+          PolicyKind::RegMutex, PolicyKind::FineReg}) {
+        const auto kernel = Suite::makeKernel(Suite::byName("MC"), 0.05);
+        GpuConfig config = smallConfig(kind);
+        config.maxCycles = 2000;
+        Gpu gpu(config, *kernel);
+        ASSERT_TRUE(gpu.run().hitCycleLimit) << policyKindName(kind);
+        InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+
+        ASSERT_FALSE(gpu.sms()[0]->pendingCtaList().empty());
+        Cta *pending = gpu.sms()[0]->pendingCtaList().front();
+        ++pending->policyReadyCycle;
+        try {
+            InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+            ADD_FAILURE() << policyKindName(kind)
+                          << ": expected a pending-ready violation";
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.error().invariant, "pending-ready")
+                << policyKindName(kind);
+            EXPECT_EQ(e.error().cta, pending->gridId());
+        }
+    }
+}
+
 // ---- Deadlock watchdog -----------------------------------------------------
 
 TEST(Watchdog, WedgedRunProducesDiagnosticInsteadOfCycleCap)
@@ -298,6 +326,73 @@ TEST(Watchdog, CycleLimitFillsStallDiagnostic)
     EXPECT_FALSE(r.failed);
     EXPECT_TRUE(r.hitCycleLimit);
     EXPECT_FALSE(r.stallDiagnostic.empty());
+}
+
+/** Forwards every decision to a wrapped policy, as a tracing decorator
+ * does; the watchdog cannot see the concrete policy through it. */
+class ForwardingPolicy : public Policy
+{
+  public:
+    explicit ForwardingPolicy(std::unique_ptr<Policy> inner)
+        : inner_(std::move(inner))
+    {
+    }
+    const char *name() const override { return inner_->name(); }
+    void tick(Sm &sm, Cycle now) override { inner_->tick(sm, now); }
+    void
+    onCtaFinished(Sm &sm, Cta &cta, Cycle now) override
+    {
+        inner_->onCtaFinished(sm, cta, now);
+    }
+    Cycle
+    nextEventCycle(const Sm &sm, Cycle now) const override
+    {
+        return inner_->nextEventCycle(sm, now);
+    }
+
+  protected:
+    void onBind() override { inner_->bind(gpu()); }
+
+  private:
+    std::unique_ptr<Policy> inner_;
+};
+
+TEST(Watchdog, StallDumpShowsPendingReadyCyclesOfEverySwitchingPolicy)
+{
+    for (const PolicyKind kind :
+         {PolicyKind::VirtualThread, PolicyKind::RegDram,
+          PolicyKind::RegMutex, PolicyKind::FineReg}) {
+        for (const bool wrapped : {false, true}) {
+            const auto kernel =
+                Suite::makeKernel(Suite::byName("MC"), 0.05);
+            GpuConfig config = smallConfig(kind);
+            config.maxCycles = 2000;
+            std::unique_ptr<Policy> policy = makePolicy(config);
+            if (wrapped)
+                policy = std::make_unique<ForwardingPolicy>(std::move(policy));
+            Gpu gpu(config, *kernel, std::move(policy));
+            const auto result = gpu.run();
+            ASSERT_TRUE(result.hitCycleLimit) << policyKindName(kind);
+
+            unsigned tracked = 0;
+            for (const auto &sm : gpu.sms()) {
+                for (const auto &cta : sm->residentCtas()) {
+                    if (cta->policyReadyCycle == kNoCycle)
+                        continue;
+                    ++tracked;
+                    const std::string line =
+                        "ready at cycle " +
+                        std::to_string(cta->policyReadyCycle);
+                    EXPECT_NE(result.stallDiagnostic.find(line),
+                              std::string::npos)
+                        << policyKindName(kind) << " wrapped=" << wrapped
+                        << ": " << result.stallDiagnostic;
+                }
+            }
+            EXPECT_GT(tracked, 0u)
+                << policyKindName(kind) << ": no pending CTA at the cap";
+        }
+    }
 }
 
 TEST(Watchdog, HealthyRunNeverTrips)
