@@ -172,6 +172,8 @@ CfgCheckPass::run(AnalysisContext &ctx)
     for (unsigned i = 0; i < instrs.size(); ++i) {
         auto check = [&](int reg) {
             if (reg >= regs || reg >= static_cast<int>(kMaxRegsPerThread)) {
+                // Dataflow passes size per-register state by regs.
+                result->structurallySound = false;
                 report(DiagKind::RegisterOutOfRange,
                        kernel.blockOfInstr(i), static_cast<int>(i), reg,
                        str("operand beyond the declared ", regs,

@@ -27,9 +27,10 @@ struct CfgCheckResult : AnalysisResultBase
     static constexpr std::string_view kName = "cfg-check";
 
     /**
-     * True when block extents, terminator placement, and branch targets
-     * are all valid — the precondition for running dataflow passes.
-     * Reachability and register-range findings do not clear this flag.
+     * True when block extents, terminator placement, branch targets and
+     * operand registers are all valid — the precondition for running
+     * dataflow passes, which index per-register state by operand.
+     * Reachability findings do not clear this flag.
      */
     bool structurallySound = true;
 

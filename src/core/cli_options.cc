@@ -201,16 +201,14 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (arg == "--idle-skip") {
             const auto value = need_value(i);
             if (!value)
-                return fail("--idle-skip needs wheel, scan, or step");
+                return fail("--idle-skip needs scan or step");
             ++i;
-            if (*value == "wheel")
-                options.config.idleSkip = IdleSkipMode::Wheel;
-            else if (*value == "scan")
-                options.config.idleSkip = IdleSkipMode::LegacyScan;
+            if (*value == "scan")
+                options.config.idleSkip = IdleSkipMode::Scan;
             else if (*value == "step")
                 options.config.idleSkip = IdleSkipMode::StepEveryCycle;
             else
-                return fail("--idle-skip must be wheel, scan, or step");
+                return fail("--idle-skip must be scan or step");
         } else if (arg == "--watchdog-cycles") {
             if (!number(i, verify.watchdogCycles))
                 return fail(bad);
@@ -295,12 +293,13 @@ cliUsage()
            "                      edge (0 = auto: every edge in Debug,\n"
            "                      every 64th in Release; interval 1 always\n"
            "                      audits every edge)\n"
-           "  --idle-skip MODE    idle-cycle skipper: wheel (event wheel,\n"
-           "                      default), scan (legacy full scan), or\n"
-           "                      step (step every cycle). Without faults,\n"
-           "                      modes agree on cycles, IPC and traffic;\n"
-           "                      some counters (FineReg stall counts, RMU\n"
-           "                      gathers, energy, depletion cycles) differ\n"
+           "  --idle-skip MODE    idle-cycle skipper: scan (jump to the\n"
+           "                      next warp or policy wake, default) or\n"
+           "                      step (step every cycle, the reference).\n"
+           "                      Without faults, both agree on cycles, IPC\n"
+           "                      and traffic; some counters (FineReg stall\n"
+           "                      counts, RMU gathers, energy, depletion\n"
+           "                      cycles) differ\n"
            "  --watchdog-cycles N deadlock watchdog threshold (0 = off,\n"
            "                      default 2000000)\n"
            "  --fault-seed N      enable deterministic fault injection\n"

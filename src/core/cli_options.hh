@@ -85,6 +85,7 @@ struct ParseResult
  *   --seed N                  simulation seed
  *   --max-cycles N            simulation cycle cap
  *   --audit-interval N        invariant auditor period (0 = off)
+ *   --idle-skip scan|step     idle-cycle skipper (default scan)
  *   --watchdog-cycles N       deadlock watchdog threshold (0 = off)
  *   --fault-seed N            deterministic fault injection (0 = off)
  *   --fault-dram P            injected DRAM-delay probability

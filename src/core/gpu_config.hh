@@ -32,13 +32,16 @@ const char *policyKindName(PolicyKind kind);
 /**
  * How Gpu::run advances the clock across ticks where nothing issued.
  * Runtime-only (host wall-clock knob): excluded from config fingerprints
- * like VerifyConfig::cancel, because every mode produces bit-identical
- * simulated end states — the determinism suite pins this.
+ * like VerifyConfig::cancel. Without fault injection both modes give
+ * the same cycles, IPC, traffic and architectural end state (the
+ * determinism suite pins this). Counters a policy updates once per tick,
+ * and the energy charged from them, can differ, and so can cycles under
+ * bit-vector-miss faults, drawn in an RMU gather a policy may repeat on
+ * every tick.
  */
 enum class IdleSkipMode : unsigned char
 {
-    Wheel,          ///< O(log n) event-wheel skip (default).
-    LegacyScan,     ///< Exact per-warp nextWakeCycle scan.
+    Scan,           ///< Jump to the earliest Sm/policy wake (default).
     StepEveryCycle, ///< No skipping: advance one cycle at a time.
 };
 
@@ -142,7 +145,7 @@ struct GpuConfig
     VerifyConfig verify{};
 
     /** Idle-cycle advancement strategy (runtime-only; see IdleSkipMode). */
-    IdleSkipMode idleSkip = IdleSkipMode::Wheel;
+    IdleSkipMode idleSkip = IdleSkipMode::Scan;
 
     /** The paper's Table I setup. */
     static GpuConfig gtx980();

@@ -80,9 +80,7 @@ struct SimResult
     struct HostPerf
     {
         std::uint64_t loopIterations = 0; ///< Run-loop ticks executed.
-        std::uint64_t skippedCycles = 0;  ///< Cycles the event wheel skipped.
-        std::uint64_t wheelPushes = 0;    ///< EventWheel schedule() announcements.
-        std::uint64_t wheelPops = 0;      ///< EventWheel heap drains.
+        std::uint64_t skippedCycles = 0;  ///< Cycles the idle skip jumped over.
         std::uint64_t arenaAllocs = 0;    ///< PCRF chain-entry writes (arena slots).
         std::uint64_t arenaBytes = 0;     ///< Modelled bytes through the arena.
         std::uint64_t bitvecWordOps = 0;  ///< 64-bit bitvector word operations.

@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "core/event_wheel.hh"
 #include "mem/mem_hierarchy.hh"
 #include "sm/cta.hh"
 #include "sm/kernel_context.hh"
@@ -79,7 +78,8 @@ class Sm
 
     /**
      * Earliest future cycle at which any active warp may become issuable
-     * (kNoCycle if none). Valid immediately after a tick that issued 0.
+     * (kNoCycle if none). Walks activeCtaList() only: warps of pending
+     * CTAs cannot issue. Valid immediately after a tick that issued 0.
      */
     Cycle nextWakeCycle(Cycle now) const;
 
@@ -187,13 +187,6 @@ class Sm
     StatGroup &stats() { return *stats_; }
 
     /**
-     * Attach the Gpu's idle-skip event wheel. Warps are bound at launch;
-     * the SM itself announces scoreboard writeback completions and retire
-     * chains.
-     */
-    void setEventWheel(EventWheel *wheel) { wheel_ = wheel; }
-
-    /**
      * True when a CTA state transition (launch, suspend, resume, whole-CTA
      * finish) happened since the last call; consumed by the sampled
      * invariant auditor to audit every transition edge.
@@ -215,13 +208,6 @@ class Sm
     void finishWarp(Warp &warp, Cycle now);
     void addWarpToSchedulers(Cta &cta);
     void removeWarpFromSchedulers(Cta &cta);
-
-    void
-    scheduleWake(Cycle cycle)
-    {
-        if (wheel_)
-            wheel_->schedule(cycle);
-    }
     void trackUsage(const Warp &warp, const Instruction &instr);
     void checkStallEpisodes(Cycle now);
 
@@ -251,7 +237,6 @@ class Sm
     std::uint64_t shmemUsed_ = 0;
     unsigned launchSeq_ = 0;
     bool stateEdge_ = false;
-    EventWheel *wheel_ = nullptr;
 
     unsigned memIssuedThisCycle_ = 0;
     unsigned issuedLastTick_ = 0;

@@ -14,8 +14,6 @@ Warp::setEarliestIssue(Cycle c)
 {
     earliestIssue_ = std::max(earliestIssue_, c);
     cta_->invalidateStallCache();
-    if (wheel_)
-        wheel_->schedule(c);
 }
 
 Warp::Warp(Cta *cta, WarpId id, const KernelContext &context,

@@ -22,6 +22,7 @@
 #include "analysis/reaching_defs.hh"
 #include "analysis/reconv_check.hh"
 #include "analysis/shared_mem_check.hh"
+#include "analysis/value_range.hh"
 #include "compiler/cfg_analysis.hh"
 #include "isa/kernel_builder.hh"
 #include "ref/kernel_gen.hh"
@@ -165,6 +166,25 @@ TEST(AnalysisManager, DataflowSkippedOnStructurallyUnsoundCfg)
     EXPECT_EQ(manager->resultOf<analysis::ReachingDefsResult>(
                   *defect->kernel, analysis::ReachingDefsResult::kName),
               nullptr);
+}
+
+TEST(AnalysisManager, DataflowSkippedOnOutOfRangeRegister)
+{
+    // Value-range and the other dataflow passes index per-register state
+    // by operand, so a register past regsPerThread must gate them off.
+    const auto clean = makeDiamondKernel();
+    const auto defect = analysis::KernelMutator::seedDefect(
+        *clean, DefectKind::RegisterOutOfRange, 1);
+    ASSERT_TRUE(defect.has_value());
+
+    auto manager = AnalysisManager::withDefaultPasses(defect->options);
+    const auto *cfg = manager->resultOf<analysis::CfgCheckResult>(
+        *defect->kernel, analysis::CfgCheckResult::kName);
+    ASSERT_NE(cfg, nullptr);
+    EXPECT_FALSE(cfg->structurallySound);
+    EXPECT_TRUE(
+        manager->ensure(*defect->kernel, analysis::ValueRangeResult::kName)
+            .skipped);
 }
 
 // --- CFG well-formedness --------------------------------------------------

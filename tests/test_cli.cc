@@ -213,6 +213,21 @@ TEST(CliOptions, SchedulerChoice)
     EXPECT_FALSE(parse({"--sched", "fifo"}).ok());
 }
 
+TEST(CliOptions, IdleSkipModes)
+{
+    EXPECT_EQ(parse({}).options->config.idleSkip, IdleSkipMode::Scan);
+    const auto scan = parse({"--idle-skip", "scan"});
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan.options->config.idleSkip, IdleSkipMode::Scan);
+    const auto step = parse({"--idle-skip", "step"});
+    ASSERT_TRUE(step.ok());
+    EXPECT_EQ(step.options->config.idleSkip, IdleSkipMode::StepEveryCycle);
+    const auto wheel = parse({"--idle-skip", "wheel"});
+    EXPECT_FALSE(wheel.ok());
+    EXPECT_NE(wheel.error.find("--idle-skip"), std::string::npos)
+        << wheel.error;
+}
+
 TEST(CliOptions, Booleans)
 {
     const auto r = parse({"--csv", "--verbose", "--unified-memory",
@@ -254,8 +269,8 @@ TEST(CliOptions, UsageMentionsEveryFlag)
          {"--app", "--policy", "--scale", "--jobs", "--sms", "--acrf",
           "--pcrf",
           "--srp-ratio", "--growth-factor", "--sched", "--unified-memory",
-          "--seed", "--max-cycles", "--csv", "--list-apps", "--verbose",
-          "--help"}) {
+          "--seed", "--max-cycles", "--idle-skip", "--csv", "--list-apps",
+          "--verbose", "--help"}) {
         EXPECT_NE(usage.find(flag), std::string::npos) << flag;
     }
 }

@@ -56,7 +56,6 @@ withKind(PolicyKind kind)
 {
     GpuConfig config = Experiment::configFor(kind);
     config.numSms = kSms;
-    config.idleSkip = IdleSkipMode::LegacyScan;
     return config;
 }
 
@@ -100,7 +99,9 @@ fnv1a(std::string_view bytes, std::uint64_t hash)
 }
 
 /** Host-strategy counters: they describe how the simulator ran, not what
- * it simulated, so the fingerprint skips them. */
+ * it simulated, so the fingerprint skips them. The list mirrors the
+ * perfbench harness's isHostCounter entry for entry, including names the
+ * simulator no longer emits. */
 bool
 isHostCounter(std::string_view stat)
 {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Hot-path regression suite (DESIGN.md §14): the perf machinery — event
- * wheel, arena-style PCRF chains, sampled auditing — must be invisible in
- * simulated results. Event-wheel skipping is pinned bit-identical to
- * stepping every cycle across all five policies (serially and through a
- * ParallelRunner pool), the PCRF arena is stressed through fragmentation
- * churn and fault-forced PCRF-full fallbacks, and the host_perf counters
- * are sanity-checked so the wall-time telemetry stays trustworthy.
+ * Hot-path regression suite (DESIGN.md §14): the perf machinery — idle
+ * skip, arena-style PCRF chains, sampled auditing — must be invisible in
+ * simulated results. The idle skip's cycles, traffic and end states are
+ * pinned to stepping every cycle across all five policies (serially and
+ * through a ParallelRunner pool), the PCRF arena is stressed through
+ * fragmentation churn and fault-forced PCRF-full fallbacks, and the
+ * host_perf counters are sanity-checked so the wall-time telemetry stays
+ * trustworthy.
  */
 
 #include <gtest/gtest.h>
@@ -26,10 +27,6 @@ namespace
 constexpr PolicyKind kAllPolicies[] = {
     PolicyKind::Baseline, PolicyKind::VirtualThread, PolicyKind::RegDram,
     PolicyKind::RegMutex, PolicyKind::FineReg};
-
-constexpr IdleSkipMode kAllSkipModes[] = {IdleSkipMode::Wheel,
-                                          IdleSkipMode::LegacyScan,
-                                          IdleSkipMode::StepEveryCycle};
 
 GpuConfig
 perfConfig(PolicyKind kind, IdleSkipMode skip)
@@ -64,24 +61,19 @@ expectSimEqual(const SimResult &a, const SimResult &b,
         << what;
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepEveryCycleUnderEveryPolicy)
+TEST(IdleSkipDeterminism, ScanMatchesStepEveryCycleUnderEveryPolicy)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
     for (const PolicyKind kind : kAllPolicies) {
         const SimResult step = Simulator::run(
             perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        for (const IdleSkipMode skip :
-             {IdleSkipMode::Wheel, IdleSkipMode::LegacyScan}) {
-            const SimResult fast =
-                Simulator::run(perfConfig(kind, skip), *kernel);
-            expectSimEqual(step, fast,
-                           std::string(policyKindName(kind)) + "/skip=" +
-                               std::to_string(unsigned(skip)));
-        }
+        const SimResult scan =
+            Simulator::run(perfConfig(kind, IdleSkipMode::Scan), *kernel);
+        expectSimEqual(step, scan, policyKindName(kind));
     }
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepOnRealWorkload)
+TEST(IdleSkipDeterminism, ScanMatchesStepOnRealWorkload)
 {
     // Barriers, shared memory and divergence hit wake paths the generated
     // kernel does not; FineReg adds CTA switching on top.
@@ -90,13 +82,13 @@ TEST(EventWheelDeterminism, WheelMatchesStepOnRealWorkload)
          {PolicyKind::Baseline, PolicyKind::FineReg}) {
         const SimResult step = Simulator::run(
             perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        const SimResult wheel = Simulator::run(
-            perfConfig(kind, IdleSkipMode::Wheel), *kernel);
-        expectSimEqual(step, wheel, policyKindName(kind));
+        const SimResult scan = Simulator::run(
+            perfConfig(kind, IdleSkipMode::Scan), *kernel);
+        expectSimEqual(step, scan, policyKindName(kind));
     }
 }
 
-TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
+TEST(IdleSkipDeterminism, SerialAndParallelScanRunsAreIdentical)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
 
@@ -105,7 +97,7 @@ TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
         for (const PolicyKind kind : kAllPolicies) {
             jobs.push_back([kernel = kernel.get(), kind] {
                 return Simulator::run(
-                    perfConfig(kind, IdleSkipMode::Wheel), *kernel);
+                    perfConfig(kind, IdleSkipMode::Scan), *kernel);
             });
         }
         return jobs;
@@ -121,7 +113,7 @@ TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
         expectSimEqual(a[i], b[i], "job " + std::to_string(i));
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepUnderFaultInjection)
+TEST(IdleSkipDeterminism, ScanMatchesStepUnderFaultInjection)
 {
     // The fault schedule is a pure function of the seed and the sequence
     // of injection-point queries, which is simulated-state driven — so a
@@ -132,47 +124,46 @@ TEST(EventWheelDeterminism, WheelMatchesStepUnderFaultInjection)
                                 IdleSkipMode::StepEveryCycle);
     step.verify.fault.seed = 0xfa011;
     step.verify.fault.pcrfFullProb = 0.25;
-    GpuConfig wheel = step;
-    wheel.idleSkip = IdleSkipMode::Wheel;
+    GpuConfig scan = step;
+    scan.idleSkip = IdleSkipMode::Scan;
 
     const SimResult a = Simulator::run(step, *kernel);
-    const SimResult b = Simulator::run(wheel, *kernel);
+    const SimResult b = Simulator::run(scan, *kernel);
     expectSimEqual(a, b, "finereg/faulted");
 }
 
-TEST(HostPerf, WheelSkipsCyclesAndStepDoesNot)
+TEST(HostPerf, ScanSkipsCyclesAndStepDoesNot)
 {
     const auto kernel = Suite::makeKernel(Suite::byName("MC"), 0.05);
-    const SimResult wheel = Simulator::run(
-        perfConfig(PolicyKind::FineReg, IdleSkipMode::Wheel), *kernel);
+    const SimResult scan = Simulator::run(
+        perfConfig(PolicyKind::FineReg, IdleSkipMode::Scan), *kernel);
     const SimResult step = Simulator::run(
         perfConfig(PolicyKind::FineReg, IdleSkipMode::StepEveryCycle),
         *kernel);
-    ASSERT_FALSE(wheel.failed) << wheel.failureReason;
+    ASSERT_FALSE(scan.failed) << scan.failureReason;
 
     // Skipping must actually happen, and every skipped cycle is a loop
     // iteration the stepper had to burn.
-    EXPECT_GT(wheel.hostPerf.skippedCycles, 0u);
-    EXPECT_GT(wheel.hostPerf.wheelPushes, 0u);
+    EXPECT_GT(scan.hostPerf.skippedCycles, 0u);
     EXPECT_EQ(step.hostPerf.skippedCycles, 0u);
-    EXPECT_EQ(wheel.hostPerf.loopIterations + wheel.hostPerf.skippedCycles,
+    EXPECT_EQ(scan.hostPerf.loopIterations + scan.hostPerf.skippedCycles,
               step.hostPerf.loopIterations);
 
     // FineReg swaps CTAs, so chain writes flow through the arena.
-    EXPECT_GT(wheel.hostPerf.arenaAllocs, 0u);
-    EXPECT_EQ(wheel.hostPerf.arenaBytes, wheel.hostPerf.arenaAllocs * 16);
-    EXPECT_GT(wheel.hostPerf.bitvecWordOps, 0u);
+    EXPECT_GT(scan.hostPerf.arenaAllocs, 0u);
+    EXPECT_EQ(scan.hostPerf.arenaBytes, scan.hostPerf.arenaAllocs * 16);
+    EXPECT_GT(scan.hostPerf.bitvecWordOps, 0u);
 }
 
 TEST(HostPerf, AuditCountersTrackSampling)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
     GpuConfig audited = perfConfig(PolicyKind::FineReg,
-                                   IdleSkipMode::Wheel);
+                                   IdleSkipMode::Scan);
     audited.verify.auditInterval = 256;
     audited.verify.auditEdgeEvery = 4;
     GpuConfig unaudited = perfConfig(PolicyKind::FineReg,
-                                     IdleSkipMode::Wheel);
+                                     IdleSkipMode::Scan);
 
     const SimResult a = Simulator::run(audited, *kernel);
     const SimResult b = Simulator::run(unaudited, *kernel);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,17 +62,25 @@ const char *kUsage =
     "                    resumed JSON is bit-identical)\n"
     "  --help            this text\n";
 
-double
+/** --scale, else FINEREG_BENCH_SCALE, else 1.0; nullopt (with a message
+ * naming the variable) when the variable is malformed or not positive. */
+std::optional<double>
 resolveScale(double requested)
 {
     if (requested > 0.0)
         return requested;
-    if (const char *env = std::getenv("FINEREG_BENCH_SCALE")) {
-        const double parsed = std::atof(env);
-        if (parsed > 0.0)
-            return parsed;
+    const char *env = std::getenv("FINEREG_BENCH_SCALE");
+    if (!env)
+        return 1.0;
+    const auto parsed = parseNumber<double>(env);
+    if (!parsed || *parsed <= 0.0) {
+        std::fprintf(stderr,
+                     "error: FINEREG_BENCH_SCALE='%s' is not a positive "
+                     "number\n",
+                     env);
+        return std::nullopt;
     }
-    return 1.0;
+    return parsed;
 }
 
 /**
@@ -156,7 +165,10 @@ class JsonWriter
 int
 runBench(const BenchOptions &options)
 {
-    const double scale = resolveScale(options.scale);
+    const std::optional<double> resolved = resolveScale(options.scale);
+    if (!resolved)
+        return 2;
+    const double scale = *resolved;
     const unsigned jobs = ParallelRunner::resolveJobs(options.jobs);
     const auto &apps = Suite::all();
 
@@ -290,10 +302,6 @@ runBench(const BenchOptions &options)
             json.u64(r.hostPerf.loopIterations);
             json.key("skipped_cycles");
             json.u64(r.hostPerf.skippedCycles);
-            json.key("wheel_pushes");
-            json.u64(r.hostPerf.wheelPushes);
-            json.key("wheel_pops");
-            json.u64(r.hostPerf.wheelPops);
             json.key("arena_allocs");
             json.u64(r.hostPerf.arenaAllocs);
             json.key("arena_bytes");
