@@ -3,7 +3,7 @@
  * Microbenchmarks for the simulator's host-side hot paths (DESIGN.md §14):
  * PCRF chain store/restore through the arena-style free-space monitor
  * and 64-bit RegBitVec word operations.
- * Unlike the per-figure bench binaries these are direct google-benchmark
+ * Unlike finereg_experiments' cells these are direct google-benchmark
  * loops over the data structures, not full simulator runs — they track
  * constant-factor regressions in the structures the run loop leans on.
  */

@@ -88,7 +88,7 @@ class StatGroup
 
 /**
  * Formatting helper for experiment harnesses: accumulates rows and renders
- * an aligned ASCII table, the output format every bench binary uses.
+ * an aligned ASCII table, the output format every experiment report uses.
  */
 class TableFormatter
 {

@@ -1,5 +1,6 @@
 #include "core/cli_options.hh"
 
+#include <cstdlib>
 #include <sstream>
 
 #include "workloads/suite.hh"
@@ -263,6 +264,21 @@ parseCliOptions(const std::vector<std::string> &args)
     ParseResult result;
     result.options = std::move(options);
     return result;
+}
+
+std::optional<double>
+benchScaleOverride(std::string &error)
+{
+    const char *env = std::getenv("FINEREG_BENCH_SCALE");
+    if (!env)
+        return std::nullopt;
+    const std::optional<double> scale = parseNumber<double>(env);
+    if (!scale || *scale <= 0.0) {
+        error = std::string("FINEREG_BENCH_SCALE='") + env +
+                "' is not a positive number";
+        return std::nullopt;
+    }
+    return scale;
 }
 
 std::string

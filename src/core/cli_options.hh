@@ -126,6 +126,14 @@ parseNumber(const std::string &text)
     return value;
 }
 
+/**
+ * The grid scale FINEREG_BENCH_SCALE sets for the bench drivers: nullopt
+ * when the variable is unset. A value that is not a positive number (in
+ * full, as parseNumber reads it) also returns nullopt and sets @p error
+ * to a message naming the variable.
+ */
+std::optional<double> benchScaleOverride(std::string &error);
+
 /** The usage text --help prints. */
 std::string cliUsage();
 

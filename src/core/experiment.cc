@@ -88,45 +88,6 @@ Experiment::makeSweepJob(std::shared_ptr<const Kernel> kernel,
     };
 }
 
-std::map<std::string, double>
-Experiment::normalizedIpc(const std::vector<SimResult> &results,
-                          const std::vector<SimResult> &baseline)
-{
-    std::map<std::string, double> out;
-    for (const auto &result : results) {
-        for (const auto &base : baseline) {
-            if (base.kernelName == result.kernelName) {
-                out[result.kernelName] = speedup(result, base);
-                break;
-            }
-        }
-    }
-    return out;
-}
-
-double
-Experiment::meanOverApps(const std::map<std::string, double> &values)
-{
-    std::vector<double> v;
-    v.reserve(values.size());
-    for (const auto &[app, value] : values)
-        v.push_back(value);
-    return mean(v);
-}
-
-double
-Experiment::meanOverApps(const std::map<std::string, double> &values,
-                         const std::vector<std::string> &apps)
-{
-    std::vector<double> v;
-    for (const auto &app : apps) {
-        const auto it = values.find(app);
-        if (it != values.end())
-            v.push_back(it->second);
-    }
-    return mean(v);
-}
-
 GpuConfig
 Experiment::configFor(PolicyKind kind)
 {

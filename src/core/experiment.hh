@@ -1,14 +1,13 @@
 /**
  * @file
- * Experiment helpers shared by the bench harnesses: run an application (or
- * the whole suite) under a configuration, normalize against a baseline,
- * and compute the aggregate means the paper reports.
+ * Experiment helpers shared by the drivers and the experiment registry:
+ * run an application (or the whole suite) under a configuration, build a
+ * sweep job, and normalize an IPC against a baseline.
  */
 
 #ifndef FINEREG_CORE_EXPERIMENT_HH
 #define FINEREG_CORE_EXPERIMENT_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,26 +67,12 @@ class Experiment
         std::shared_ptr<const Kernel> kernel, const GpuConfig &config,
         std::string app, SweepJournal *journal);
 
-    /** Per-app IPC of @p results divided by @p baseline (paired by
-     * kernel name). */
-    static std::map<std::string, double>
-    normalizedIpc(const std::vector<SimResult> &results,
-                  const std::vector<SimResult> &baseline);
-
     /** Ratio helper for a single app pair. */
     static double speedup(const SimResult &result,
                           const SimResult &baseline)
     {
         return baseline.ipc > 0 ? result.ipc / baseline.ipc : 0.0;
     }
-
-    /** Arithmetic mean of per-app normalized values (the paper's
-     * "average" bars). */
-    static double meanOverApps(const std::map<std::string, double> &values);
-
-    /** Mean restricted to a subset of app names. */
-    static double meanOverApps(const std::map<std::string, double> &values,
-                               const std::vector<std::string> &apps);
 
     /** A GTX-980 config preset with the policy set. */
     static GpuConfig configFor(PolicyKind kind);

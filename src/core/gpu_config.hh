@@ -150,7 +150,7 @@ struct GpuConfig
     /** The paper's Table I setup. */
     static GpuConfig gtx980();
 
-    /** Render Table I for bench_table1_config. */
+    /** Render Table I (the table1 experiment report). */
     std::string toString() const;
 };
 

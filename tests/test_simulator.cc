@@ -105,25 +105,6 @@ TEST(Experiment, SpeedupHelper)
     EXPECT_DOUBLE_EQ(Experiment::speedup(a, b), 0.0);
 }
 
-TEST(Experiment, NormalizedIpcPairsByName)
-{
-    SimResult a1, a2, b1, b2;
-    a1.kernelName = "X";
-    a1.ipc = 4.0;
-    a2.kernelName = "Y";
-    a2.ipc = 1.0;
-    b1.kernelName = "X";
-    b1.ipc = 2.0;
-    b2.kernelName = "Y";
-    b2.ipc = 2.0;
-    const auto norm =
-        Experiment::normalizedIpc({a1, a2}, {b1, b2});
-    EXPECT_DOUBLE_EQ(norm.at("X"), 2.0);
-    EXPECT_DOUBLE_EQ(norm.at("Y"), 0.5);
-    EXPECT_DOUBLE_EQ(Experiment::meanOverApps(norm), 1.25);
-    EXPECT_DOUBLE_EQ(Experiment::meanOverApps(norm, {"X"}), 2.0);
-}
-
 TEST(Experiment, ConfigForSetsPolicy)
 {
     const GpuConfig config = Experiment::configFor(PolicyKind::FineReg);

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -69,18 +68,13 @@ resolveScale(double requested)
 {
     if (requested > 0.0)
         return requested;
-    const char *env = std::getenv("FINEREG_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    const auto parsed = parseNumber<double>(env);
-    if (!parsed || *parsed <= 0.0) {
-        std::fprintf(stderr,
-                     "error: FINEREG_BENCH_SCALE='%s' is not a positive "
-                     "number\n",
-                     env);
+    std::string error;
+    const std::optional<double> scale = benchScaleOverride(error);
+    if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
         return std::nullopt;
     }
-    return parsed;
+    return scale.value_or(1.0);
 }
 
 /**
