@@ -1217,7 +1217,7 @@ main(int argc, char **argv)
                  "experiments: %zu cells requested, %zu distinct simulated "
                  "on %u jobs in %.0f ms (%u wave%s)\n",
                  label_keys.size(), by_key.size(),
-                 ParallelRunner::resolveJobs(), wall_ms, waves,
+                 runner.jobs(), wall_ms, waves,
                  waves == 1 ? "" : "s");
 
     std::size_t failed = 0;

@@ -54,7 +54,7 @@ void
 informImpl(const std::string &msg)
 {
     if (g_verbose)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace log_detail

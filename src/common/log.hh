@@ -34,7 +34,7 @@ void informImpl(const std::string &msg);
 
 } // namespace log_detail
 
-/** Enable/disable inform() output (benches silence it). */
+/** Enable/disable inform() output; a driver's --verbose turns it on. */
 void setVerbose(bool verbose);
 bool verbose();
 
@@ -52,7 +52,8 @@ bool verbose();
 #define FINEREG_WARN(...) \
     ::finereg::log_detail::warnImpl(::finereg::log_detail::concat(__VA_ARGS__))
 
-/** Report normal operating status (suppressed when verbose is off). */
+/** Report normal operating status on stderr, as warn() does, so it never
+ * mixes into a driver's stdout report (suppressed when verbose is off). */
 #define FINEREG_INFORM(...) \
     ::finereg::log_detail::informImpl(::finereg::log_detail::concat(__VA_ARGS__))
 

@@ -334,7 +334,7 @@ cliUsage()
            "  --diff-check        diff every run's architectural end state\n"
            "                      against the reference executor\n"
            "  --list-apps         print the benchmark suite and exit\n"
-           "  --verbose           enable status logging\n"
+           "  --verbose           report each run's wall time on stderr\n"
            "  --help              this text\n";
 }
 

@@ -85,6 +85,7 @@ struct ParseResult
  *   --seed N                  simulation seed
  *   --max-cycles N            simulation cycle cap
  *   --audit-interval N        invariant auditor period (0 = off)
+ *   --audit-edge-every N      edge-audit sampling period (0 = auto)
  *   --idle-skip scan|step     idle-cycle skipper (default scan)
  *   --watchdog-cycles N       deadlock watchdog threshold (0 = off)
  *   --fault-seed N            deterministic fault injection (0 = off)
@@ -96,7 +97,7 @@ struct ParseResult
  *                             any already recorded there
  *   --diff-check              diff end states against the reference executor
  *   --csv                     machine-readable output
- *   --verbose                 enable inform() logging
+ *   --verbose                 report each run's wall time on stderr
  *   --list-apps               print the suite and exit
  *   --help                    print usage and exit
  *
@@ -127,7 +128,7 @@ parseNumber(const std::string &text)
 }
 
 /**
- * The grid scale FINEREG_BENCH_SCALE sets for the bench drivers: nullopt
+ * The grid scale FINEREG_BENCH_SCALE sets for finereg_experiments: nullopt
  * when the variable is unset. A value that is not a positive number (in
  * full, as parseNumber reads it) also returns nullopt and sets @p error
  * to a message naming the variable.

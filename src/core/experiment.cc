@@ -40,7 +40,7 @@ Experiment::runSweep(const std::vector<GpuConfig> &configs,
         }
     }
 
-    ParallelRunner runner({.jobs = jobs, .failFast = false});
+    ParallelRunner runner(jobs);
     std::vector<SimResult> flat = runner.run(std::move(matrix));
 
     std::vector<std::vector<SimResult>> out(configs.size());

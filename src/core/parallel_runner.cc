@@ -1,12 +1,14 @@
 #include "core/parallel_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
+#include <optional>
 #include <thread>
 
+#include "common/log.hh"
+#include "core/cli_options.hh"
 #include "verify/sim_error.hh"
 
 namespace finereg
@@ -22,52 +24,6 @@ elapsedMs(Clock::time_point start)
 {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
-}
-
-/**
- * One worker's job queue. The owner pops from the front (FIFO over its
- * round-robin share); thieves steal from the back to minimize contention
- * with the owner. A mutex per queue is plenty here: jobs are whole
- * simulator runs (milliseconds to seconds each), so queue operations are
- * nowhere near the critical path.
- */
-struct WorkQueue
-{
-    std::mutex mutex;
-    std::deque<std::size_t> indices;
-
-    bool
-    popFront(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (indices.empty())
-            return false;
-        out = indices.front();
-        indices.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (indices.empty())
-            return false;
-        out = indices.back();
-        indices.pop_back();
-        return true;
-    }
-};
-
-SimResult
-cancelledResult(const char *why)
-{
-    SimResult out;
-    out.failed = true;
-    out.error.kind = SimErrorKind::Cancelled;
-    out.error.message = why;
-    out.failureReason = out.error.toString();
-    return out;
 }
 
 } // namespace
@@ -100,22 +56,23 @@ ParallelRunner::runCaptured(const Job &job)
     }
 }
 
-ParallelRunner::ParallelRunner(ParallelOptions options) : options_(options)
-{
-}
+ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 unsigned
 ParallelRunner::resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("FINEREG_JOBS")) {
-        const long parsed = std::atol(env);
-        if (parsed > 0)
-            return static_cast<unsigned>(parsed);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const char *env = std::getenv("FINEREG_JOBS");
+    if (!env)
+        return hw;
+    const std::optional<unsigned> parsed = parseNumber<unsigned>(env);
+    if (parsed && *parsed > 0)
+        return *parsed;
+    FINEREG_WARN("FINEREG_JOBS='", env, "' is not a positive integer; using ",
+                 hw, " hardware threads");
+    return hw;
 }
 
 ParallelRunner::Outcome
@@ -126,65 +83,28 @@ ParallelRunner::runAll(std::vector<Job> jobs)
     Outcome outcome;
     outcome.results.resize(jobs.size());
     outcome.wallMs.assign(jobs.size(), 0.0);
-    outcome.jobsUsed =
-        std::min<std::size_t>(resolveJobs(options_.jobs),
-                              std::max<std::size_t>(jobs.size(), 1));
-    if (jobs.empty()) {
-        outcome.totalWallMs = elapsedMs(batch_start);
-        return outcome;
-    }
 
-    std::atomic<bool> cancel{false};
-    const bool fail_fast = options_.failFast;
-
-    auto run_at = [&](std::size_t index) {
-        if (fail_fast && cancel.load(std::memory_order_acquire)) {
-            outcome.results[index] = cancelledResult(
-                "cancelled by fail-fast after an earlier failure");
-            return;
+    // Every job is known up front and each is a whole simulation, so
+    // workers simply claim the next unclaimed index until none is left.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (std::size_t i = next++; i < jobs.size(); i = next++) {
+            const auto start = Clock::now();
+            outcome.results[i] = runCaptured(jobs[i]);
+            outcome.wallMs[i] = elapsedMs(start);
         }
-        const auto start = Clock::now();
-        SimResult result = runCaptured(jobs[index]);
-        outcome.wallMs[index] = elapsedMs(start);
-        if (fail_fast && result.failed)
-            cancel.store(true, std::memory_order_release);
-        outcome.results[index] = std::move(result);
     };
 
-    if (outcome.jobsUsed <= 1) {
-        // Degenerate serial path: same wrapper, same ordering, no threads.
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            run_at(i);
-    } else {
-        const unsigned workers = outcome.jobsUsed;
-        std::vector<WorkQueue> queues(workers);
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            queues[i % workers].indices.push_back(i);
+    // The calling thread is one of the workers, so one worker (or one
+    // job) runs everything inline without starting a thread.
+    const std::size_t workers = std::min<std::size_t>(jobs_, jobs.size());
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers);
+    for (std::size_t w = 1; w < workers; ++w)
+        helpers.emplace_back(worker);
+    worker();
+    helpers.clear(); // joins every helper
 
-        auto worker_loop = [&](unsigned self) {
-            std::size_t index = 0;
-            for (;;) {
-                bool found = queues[self].popFront(index);
-                for (unsigned delta = 1; !found && delta < workers;
-                     ++delta)
-                    found = queues[(self + delta) % workers]
-                                .stealBack(index);
-                if (!found)
-                    return;
-                run_at(index);
-            }
-        };
-
-        std::vector<std::thread> threads;
-        threads.reserve(workers - 1);
-        for (unsigned w = 1; w < workers; ++w)
-            threads.emplace_back(worker_loop, w);
-        worker_loop(0);
-        for (auto &thread : threads)
-            thread.join();
-    }
-
-    outcome.cancelled = fail_fast && cancel.load(std::memory_order_acquire);
     outcome.totalWallMs = elapsedMs(batch_start);
     return outcome;
 }

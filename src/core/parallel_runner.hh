@@ -1,12 +1,11 @@
 /**
  * @file
- * ParallelRunner: a work-stealing thread pool that fans independent
- * simulation jobs across hardware threads. Each job is a self-contained
- * closure returning a SimResult; results are keyed by submission index, so
- * the output vector is bit-identical regardless of worker count or
- * completion order. Exceptions escaping a job are captured into
- * SimResult::failed (typed SimError), and an optional fail-fast mode
- * cancels not-yet-started jobs after the first fatal failure.
+ * ParallelRunner: a thread pool that fans independent simulation jobs
+ * across hardware threads. Each job is a self-contained closure returning
+ * a SimResult; workers claim jobs from one shared counter, and results are
+ * keyed by submission index, so the output vector is bit-identical
+ * regardless of worker count or completion order. Exceptions escaping a
+ * job are captured into SimResult::failed (typed SimError).
  */
 
 #ifndef FINEREG_CORE_PARALLEL_RUNNER_HH
@@ -20,24 +19,6 @@
 namespace finereg
 {
 
-/** Knobs for one ParallelRunner::runAll invocation. */
-struct ParallelOptions
-{
-    /**
-     * Worker count. 0 resolves via ParallelRunner::resolveJobs (the
-     * FINEREG_JOBS environment variable, then hardware concurrency);
-     * 1 runs every job inline on the calling thread.
-     */
-    unsigned jobs = 0;
-
-    /**
-     * When true, the first job that produces a failed SimResult (or
-     * throws) cancels every job that has not started yet; cancelled jobs
-     * report SimErrorKind::Cancelled. Running jobs finish normally.
-     */
-    bool failFast = false;
-};
-
 class ParallelRunner
 {
   public:
@@ -49,20 +30,20 @@ class ParallelRunner
         /** One entry per job, in submission order. */
         std::vector<SimResult> results;
 
-        /** Per-job wall-clock milliseconds (0 for cancelled jobs). */
+        /** Per-job wall-clock milliseconds. */
         std::vector<double> wallMs;
-
-        /** Worker count actually used. */
-        unsigned jobsUsed = 0;
-
-        /** True when fail-fast tripped and pending jobs were cancelled. */
-        bool cancelled = false;
 
         /** Wall-clock milliseconds for the whole batch. */
         double totalWallMs = 0.0;
     };
 
-    explicit ParallelRunner(ParallelOptions options = {});
+    /**
+     * @param jobs worker count; 0 resolves via resolveJobs (the
+     *             FINEREG_JOBS environment variable, then hardware
+     *             concurrency). 1 runs every job inline on the calling
+     *             thread.
+     */
+    explicit ParallelRunner(unsigned jobs = 0);
 
     /**
      * Execute @p jobs and return per-job results plus timing. The results
@@ -73,14 +54,16 @@ class ParallelRunner
     /** Convenience wrapper returning only the ordered results. */
     std::vector<SimResult> run(std::vector<Job> jobs);
 
+    /** The resolved worker count (before clamping to a batch's size). */
+    unsigned jobs() const { return jobs_; }
+
     /**
      * Resolve a worker count: @p requested when positive, else the
-     * FINEREG_JOBS environment variable when set to a positive integer,
-     * else std::thread::hardware_concurrency() (at least 1).
+     * FINEREG_JOBS environment variable when it is a positive integer,
+     * else std::thread::hardware_concurrency() (at least 1). A set but
+     * malformed FINEREG_JOBS warns and falls back to the hardware count.
      */
     static unsigned resolveJobs(unsigned requested = 0);
-
-    const ParallelOptions &options() const { return options_; }
 
   private:
     /**
@@ -90,7 +73,7 @@ class ParallelRunner
      */
     static SimResult runCaptured(const Job &job);
 
-    ParallelOptions options_;
+    unsigned jobs_;
 };
 
 } // namespace finereg

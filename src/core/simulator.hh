@@ -71,24 +71,6 @@ struct SimResult
     /** Scheme storage overhead (Sec. V-F), bits. */
     std::uint64_t policyStorageBits = 0;
 
-    /**
-     * Host-side performance counters: where the simulator's own wall
-     * time went, not simulated behaviour. All informational — none of
-     * these affect simulated cycles, and bench_diff.py ignores them when
-     * comparing against goldens.
-     */
-    struct HostPerf
-    {
-        std::uint64_t loopIterations = 0; ///< Run-loop ticks executed.
-        std::uint64_t skippedCycles = 0;  ///< Cycles the idle skip jumped over.
-        std::uint64_t arenaAllocs = 0;    ///< PCRF chain-entry writes (arena slots).
-        std::uint64_t arenaBytes = 0;     ///< Modelled bytes through the arena.
-        std::uint64_t bitvecWordOps = 0;  ///< 64-bit bitvector word operations.
-        std::uint64_t fullAudits = 0;     ///< Periodic full-state audit invocations.
-        std::uint64_t edgeAudits = 0;     ///< State-transition-edge audit invocations.
-    };
-    HostPerf hostPerf;
-
     /** True when this result was replayed from a sweep journal instead of
      * being re-simulated (--resume). */
     bool fromJournal = false;

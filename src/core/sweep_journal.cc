@@ -589,15 +589,4 @@ SweepJournal::completedCount() const
     return n;
 }
 
-std::vector<JournalEntry>
-SweepJournal::entries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<JournalEntry> out;
-    out.reserve(latest_.size());
-    for (const auto &[key, entry] : latest_)
-        out.push_back(entry);
-    return out;
-}
-
 } // namespace finereg

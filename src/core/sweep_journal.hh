@@ -27,7 +27,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/simulator.hh"
 
@@ -111,9 +110,6 @@ class SweepJournal
 
     /** Distinct keys whose latest status is "ok". */
     std::size_t completedCount() const;
-
-    /** All current entries (latest per key), unordered. */
-    std::vector<JournalEntry> entries() const;
 
   private:
     SweepJournal(std::string path, std::FILE *file);

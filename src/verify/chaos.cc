@@ -41,8 +41,7 @@ journaledSweep(const std::vector<GpuConfig> &configs,
                 kernels[a], config, apps[a].abbrev, &journal));
         }
     }
-    return ParallelRunner({.jobs = jobs, .failFast = false})
-        .run(std::move(matrix));
+    return ParallelRunner(jobs).run(std::move(matrix));
 }
 
 } // namespace

@@ -25,7 +25,7 @@ enum class SimErrorKind : unsigned char
     InvariantViolation, ///< Simulator state failed a bookkeeping invariant.
     Deadlock,           ///< Watchdog: no forward progress for too long.
     WorkerException,    ///< Non-SimException escaped a parallel job.
-    Cancelled,          ///< Job cancelled (fail-fast or an external kill).
+    Cancelled,          ///< Job cancelled by a sweep-wide kill (CancelToken).
     Timeout,            ///< Wall-clock budget expired (wallTimeoutMs).
 };
 
@@ -92,7 +92,7 @@ class SimException : public std::runtime_error
 [[noreturn]] void raiseTimeout(std::string message, Cycle cycle,
                                std::string diagnostic = {});
 
-/** Throw a Cancelled-kind SimException (external kill, not fail-fast). */
+/** Throw a Cancelled-kind SimException (a sweep-wide kill). */
 [[noreturn]] void raiseCancelled(std::string message, Cycle cycle);
 
 } // namespace finereg

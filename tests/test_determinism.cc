@@ -95,8 +95,8 @@ TEST(Determinism, SerialAndParallelRunsAreIdentical)
         return jobs;
     };
 
-    ParallelRunner serial({.jobs = 1, .failFast = false});
-    ParallelRunner pooled({.jobs = 4, .failFast = false});
+    ParallelRunner serial(1);
+    ParallelRunner pooled(4);
     const std::vector<SimResult> a = serial.run(make_jobs());
     const std::vector<SimResult> b = pooled.run(make_jobs());
 

@@ -6,8 +6,8 @@
  * pinned to stepping every cycle across all five policies (serially and
  * through a ParallelRunner pool), the PCRF arena is stressed through
  * fragmentation churn and fault-forced PCRF-full fallbacks, and the
- * host_perf counters are sanity-checked so the wall-time telemetry stays
- * trustworthy.
+ * host counters in the stat group are sanity-checked so the wall-time
+ * telemetry stays trustworthy.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "ref/arch_state.hh"
 #include "ref/kernel_gen.hh"
 #include "regfile/pcrf.hh"
+#include "sm/gpu.hh"
 #include "workloads/suite.hh"
 
 namespace finereg
@@ -103,8 +104,8 @@ TEST(IdleSkipDeterminism, SerialAndParallelScanRunsAreIdentical)
         return jobs;
     };
 
-    ParallelRunner serial({.jobs = 1, .failFast = false});
-    ParallelRunner pooled({.jobs = 4, .failFast = false});
+    ParallelRunner serial(1);
+    ParallelRunner pooled(4);
     const std::vector<SimResult> a = serial.run(make_jobs());
     const std::vector<SimResult> b = pooled.run(make_jobs());
 
@@ -134,25 +135,28 @@ TEST(IdleSkipDeterminism, ScanMatchesStepUnderFaultInjection)
 
 TEST(HostPerf, ScanSkipsCyclesAndStepDoesNot)
 {
+    // The host counters live in the Gpu's stat group, where perfbench
+    // reads them; SimResult does not copy them.
     const auto kernel = Suite::makeKernel(Suite::byName("MC"), 0.05);
-    const SimResult scan = Simulator::run(
-        perfConfig(PolicyKind::FineReg, IdleSkipMode::Scan), *kernel);
-    const SimResult step = Simulator::run(
-        perfConfig(PolicyKind::FineReg, IdleSkipMode::StepEveryCycle),
-        *kernel);
-    ASSERT_FALSE(scan.failed) << scan.failureReason;
+    Gpu scan(perfConfig(PolicyKind::FineReg, IdleSkipMode::Scan), *kernel);
+    Gpu step(perfConfig(PolicyKind::FineReg, IdleSkipMode::StepEveryCycle),
+             *kernel);
+    ASSERT_NO_THROW(scan.run());
+    step.run();
+    const StatGroup &a = scan.stats();
+    const StatGroup &b = step.stats();
 
     // Skipping must actually happen, and every skipped cycle is a loop
     // iteration the stepper had to burn.
-    EXPECT_GT(scan.hostPerf.skippedCycles, 0u);
-    EXPECT_EQ(step.hostPerf.skippedCycles, 0u);
-    EXPECT_EQ(scan.hostPerf.loopIterations + scan.hostPerf.skippedCycles,
-              step.hostPerf.loopIterations);
+    EXPECT_GT(a.counterValue("gpu.skipped_cycles"), 0u);
+    EXPECT_EQ(b.counterValue("gpu.skipped_cycles"), 0u);
+    EXPECT_EQ(a.counterValue("gpu.loop_iterations") +
+                  a.counterValue("gpu.skipped_cycles"),
+              b.counterValue("gpu.loop_iterations"));
 
     // FineReg swaps CTAs, so chain writes flow through the arena.
-    EXPECT_GT(scan.hostPerf.arenaAllocs, 0u);
-    EXPECT_EQ(scan.hostPerf.arenaBytes, scan.hostPerf.arenaAllocs * 16);
-    EXPECT_GT(scan.hostPerf.bitvecWordOps, 0u);
+    EXPECT_GT(a.counterValue("pcrf.writes"), 0u);
+    EXPECT_GT(a.counterValue("rmu.bitvec_word_ops"), 0u);
 }
 
 TEST(HostPerf, AuditCountersTrackSampling)
@@ -165,16 +169,18 @@ TEST(HostPerf, AuditCountersTrackSampling)
     GpuConfig unaudited = perfConfig(PolicyKind::FineReg,
                                      IdleSkipMode::Scan);
 
-    const SimResult a = Simulator::run(audited, *kernel);
-    const SimResult b = Simulator::run(unaudited, *kernel);
-    ASSERT_FALSE(a.failed) << a.failureReason;
-    EXPECT_GT(a.hostPerf.fullAudits, 0u);
-    EXPECT_GT(a.hostPerf.edgeAudits, 0u);
-    EXPECT_EQ(b.hostPerf.fullAudits, 0u);
-    EXPECT_EQ(b.hostPerf.edgeAudits, 0u);
+    Gpu a(audited, *kernel);
+    Gpu b(unaudited, *kernel);
+    ASSERT_NO_THROW(a.run());
+    b.run();
+    EXPECT_GT(a.stats().counterValue("verify.full_audits"), 0u);
+    EXPECT_GT(a.stats().counterValue("verify.edge_audits"), 0u);
+    EXPECT_EQ(b.stats().counterValue("verify.full_audits"), 0u);
+    EXPECT_EQ(b.stats().counterValue("verify.edge_audits"), 0u);
 
     // Auditing is observation only.
-    expectSimEqual(a, b, "audited-vs-not");
+    expectSimEqual(Simulator::run(audited, *kernel),
+                   Simulator::run(unaudited, *kernel), "audited-vs-not");
 }
 
 // --- PCRF arena stress ---------------------------------------------------

@@ -293,12 +293,12 @@ runSweep(const DiffOptions &opts, const GpuConfig &config)
         });
     }
 
-    ParallelRunner runner({.jobs = opts.jobs, .failFast = false});
+    ParallelRunner runner(opts.jobs);
     if (opts.verbose) {
         std::fprintf(stderr, "info: %u cases x %zu policies with %u jobs\n",
                      opts.cases,
                      opts.policies.empty() ? 5 : opts.policies.size(),
-                     ParallelRunner::resolveJobs(opts.jobs));
+                     runner.jobs());
     }
     runner.run(std::move(jobs));
 

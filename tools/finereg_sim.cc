@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,9 +87,9 @@ runDiffCheck(const CliOptions &options)
         }
     }
 
-    ParallelRunner runner({.jobs = options.jobs, .failFast = false});
+    ParallelRunner runner(options.jobs);
     std::fprintf(stderr, "info: diff-checking %zu runs with %u jobs\n",
-                 matrix.size(), ParallelRunner::resolveJobs(options.jobs));
+                 matrix.size(), runner.jobs());
     runner.run(std::move(matrix));
 
     bool any_diverged = false;
@@ -206,10 +207,11 @@ run(const CliOptions &options, const std::vector<std::string> &args)
         }
     }
 
-    ParallelRunner runner({.jobs = options.jobs, .failFast = false});
+    ParallelRunner runner(options.jobs);
     std::fprintf(stderr, "info: running %zu simulations with %u jobs\n",
-                 matrix.size(), ParallelRunner::resolveJobs(options.jobs));
-    const std::vector<SimResult> results = runner.run(std::move(matrix));
+                 matrix.size(), runner.jobs());
+    const ParallelRunner::Outcome outcome = runner.runAll(std::move(matrix));
+    const std::vector<SimResult> &results = outcome.results;
 
     struct FailedCell
     {
@@ -223,6 +225,8 @@ run(const CliOptions &options, const std::vector<std::string> &args)
     std::size_t job = 0;
     for (const std::string &app : apps) {
         for (const PolicyKind kind : options.policies) {
+            FINEREG_INFORM(app, '/', policyKindName(kind), ' ', std::fixed,
+                           std::setprecision(3), outcome.wallMs[job], " ms");
             const SimResult &r = results[job++];
             if (r.fromJournal)
                 ++replayed;
