@@ -312,10 +312,9 @@ cliUsage()
            "  --idle-skip MODE    idle-cycle skipper: scan (jump to the\n"
            "                      next warp or policy wake, default) or\n"
            "                      step (step every cycle, the reference).\n"
-           "                      Without faults, both agree on cycles, IPC\n"
-           "                      and traffic; some counters (FineReg stall\n"
-           "                      counts, RMU gathers, energy, depletion\n"
-           "                      cycles) differ\n"
+           "                      Both give the same output, except\n"
+           "                      VT+RegMutex depletion cycles with a\n"
+           "                      small shared pool\n"
            "  --watchdog-cycles N deadlock watchdog threshold (0 = off,\n"
            "                      default 2000000)\n"
            "  --fault-seed N      enable deterministic fault injection\n"

@@ -32,12 +32,11 @@ const char *policyKindName(PolicyKind kind);
 /**
  * How Gpu::run advances the clock across ticks where nothing issued.
  * Runtime-only (host wall-clock knob): excluded from config fingerprints
- * like VerifyConfig::cancel. Without fault injection both modes give
- * the same cycles, IPC, traffic and architectural end state (the
- * determinism suite pins this). Counters a policy updates once per tick,
- * and the energy charged from them, can differ, and so can cycles under
- * bit-vector-miss faults, drawn in an RMU gather a policy may repeat on
- * every tick.
+ * like VerifyConfig::cancel. Both modes give the same cycles, IPC,
+ * traffic, counters, energy and architectural end state (the idle-skip
+ * tests pin the stats fingerprint), except the depletion cycles a policy
+ * charges from a per-tick flag across a skip (VT+RegMutex with a small
+ * shared pool).
  */
 enum class IdleSkipMode : unsigned char
 {

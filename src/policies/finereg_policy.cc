@@ -130,19 +130,36 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
 
     sm.suspendCta(cta, now);
     st.pcrf->storeCta(cta.gridId(), gather.warpLive, gather.totalRegs);
+    st.episodes.erase(cta.gridId()); // its stall episode ends here
     st.acrf->free(cta.regAllocHandle);
     cta.regAllocHandle = kInvalidId;
     st.monitor.setContext(cta.gridId(), ContextLocation::SharedMemory);
     st.monitor.setRegisters(cta.gridId(), RegisterLocation::Pcrf);
 }
 
+FineRegPolicy::Episode &
+FineRegPolicy::episodeOf(SmState &st, const Cta &cta)
+{
+    Episode &ep = st.episodes[cta.gridId()];
+    if (ep.id != cta.stallWindow().episode) {
+        ep.id = cta.stallWindow().episode;
+        ep.noPartner = false;
+        ep.gathered = false;
+        stalledFound_->inc();
+    }
+    return ep;
+}
+
 SwitchingPolicy::SwitchOut
 FineRegPolicy::switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready_pending)
 {
     SmState &st = state(sm);
-    stalledFound_->inc();
+    Episode &ep = episodeOf(st, cta);
 
-    const Rmu::Gather &gather = st.rmu->gatherLiveRegs(cta, now);
+    // A stalled CTA's PCs do not move, so its live set is gathered once
+    // per stall window and reused when a refused switch is retried.
+    const Rmu::Gather &gather =
+        ep.gathered ? ep.gather : st.rmu->gatherLiveRegs(cta, now);
     const unsigned n_live = gather.totalRegs;
 
     // Injected fault: a canStore query may be forced to report the
@@ -180,6 +197,10 @@ FineRegPolicy::switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready_pending)
                      st.pcrf->liveCountOf(ready_pending->gridId())) {
         // Sec. V-B "rare situations": the stalled CTA must stay in the
         // ACRF until the PCRF drains.
+        if (!ep.gathered) {
+            ep.gather = gather;
+            ep.gathered = true;
+        }
         return SwitchOut::Refused;
     }
 
@@ -195,10 +216,13 @@ FineRegPolicy::switchOut(Sm &sm, Cta &cta, Cycle now, Cta *ready_pending)
 }
 
 void
-FineRegPolicy::noPartner(Sm &, Cta &, Cycle)
+FineRegPolicy::noPartner(Sm &sm, Cta &cta, Cycle)
 {
-    stalledFound_->inc();
-    noPartner_->inc();
+    Episode &ep = episodeOf(state(sm), cta);
+    if (!ep.noPartner) {
+        ep.noPartner = true;
+        noPartner_->inc();
+    }
 }
 
 void
@@ -211,6 +235,7 @@ FineRegPolicy::release(Sm &sm, Cta &cta)
     }
     st.acrf->free(cta.regAllocHandle);
     st.monitor.onRetire(cta.gridId());
+    st.episodes.erase(cta.gridId());
 }
 
 void

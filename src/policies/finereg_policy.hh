@@ -16,6 +16,7 @@
 #define FINEREG_POLICIES_FINEREG_POLICY_HH
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -83,6 +84,16 @@ class FineRegPolicy : public SwitchingPolicy
     bool resumeBeforeLaunch() const override { return true; }
 
   private:
+    /** What one stall window of a CTA has been charged: detection, the
+     * no-partner count and the RMU gather happen at most once each. */
+    struct Episode
+    {
+        unsigned id = 0; ///< Cta::StallWindow::episode.
+        bool noPartner = false;
+        bool gathered = false;
+        Rmu::Gather gather; ///< The live set, kept across refusals.
+    };
+
     struct SmState
     {
         std::unique_ptr<RegFileAllocator> acrf;
@@ -94,9 +105,16 @@ class FineRegPolicy : public SwitchingPolicy
          * position of the last restored register); reused every switch
          * so the hot path never allocates. */
         std::vector<unsigned> posScratch;
+
+        /** Resident CTA -> its latest stall window's charges. */
+        std::unordered_map<GridCtaId, Episode> episodes;
     };
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
+
+    /** @p cta's charges for its open stall window; the first call of a
+     * window counts the CTA in finereg.stalled_found. */
+    Episode &episodeOf(SmState &st, const Cta &cta);
 
     /**
      * Give pending @p cta, whose PCRF chain was just drained into

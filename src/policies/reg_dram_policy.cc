@@ -1,5 +1,7 @@
 #include "policies/reg_dram_policy.hh"
 
+#include <algorithm>
+
 #include "core/gpu_config.hh"
 #include "sm/gpu.hh"
 
@@ -73,6 +75,17 @@ Cycle
 RegDramPolicy::secondTierReady(const Sm &sm) const
 {
     return dram(sm).inDram.minReady();
+}
+
+Cycle
+RegDramPolicy::revisitHorizon(const Sm &sm, Cycle now) const
+{
+    // Once a DRAM-tier CTA is ready it stays ready until promoted.
+    const DramState &ds = dram(sm);
+    const Cycle demote =
+        ds.nextDemoteAllowed > now ? ds.nextDemoteAllowed : kNoCycle;
+    const Cycle dram_ready = ds.inDram.minReady();
+    return std::min(demote, dram_ready > now ? dram_ready : kNoCycle);
 }
 
 void

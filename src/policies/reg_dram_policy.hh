@@ -32,6 +32,9 @@ class RegDramPolicy : public VirtualThreadPolicy
     /** No on-chip partner: demote the stalled CTA to DRAM when that pays. */
     void noPartner(Sm &sm, Cta &cta, Cycle now) override;
 
+    /** The demotion rate limiter and DRAM-tier readiness gate noPartner. */
+    Cycle revisitHorizon(const Sm &sm, Cycle now) const override;
+
     /** Promote a ready DRAM-tier CTA when its registers fit again. */
     bool resumeSecondTier(Sm &sm, Cycle now) override;
     Cycle secondTierReady(const Sm &sm) const override;

@@ -13,6 +13,8 @@ void
 SwitchingPolicy::onBind()
 {
     states_.assign(config().numSms, SmState{});
+    for (auto &sm : gpu().sms())
+        sm->enableStallTracking();
 }
 
 SwitchingPolicy::SmState &
@@ -118,22 +120,6 @@ SwitchingPolicy::pendingSaturated(const Sm &sm) const
                baselineActiveEstimate(sm);
 }
 
-const std::vector<Cta *> &
-SwitchingPolicy::collectStalledCtas(Sm &sm, Cycle now)
-{
-    std::vector<Cta *> &stalled = stalledScratch_;
-    stalled.clear();
-    // activeCtaList() is the Active subset of residentCtas() in the same
-    // (launch-sequence) order, so the collected order is unchanged.
-    for (Cta *cta : sm.activeCtaList()) {
-        if (cta->lastIssueCycle() == now)
-            continue;
-        if (cta->stalledOnMemoryCached(now))
-            stalled.push_back(cta);
-    }
-    return stalled;
-}
-
 void
 SwitchingPolicy::fillActiveSlots(Sm &sm, Cycle now)
 {
@@ -194,31 +180,131 @@ void
 SwitchingPolicy::switchStalledCtas(Sm &sm, Cycle now)
 {
     SmState &st = state(sm);
-    const unsigned shmem = sm.context().kernel().shmemPerCta();
-
-    for (Cta *cta : collectStalledCtas(sm, now)) {
-        // Growing the resident set: a brand-new CTA takes over the slot.
-        // Growth is damped once enough pending CTAs exist to hide stalls.
-        const bool can_grow = dispatcher().hasWork() &&
-                              sm.shmemFree() >= shmem &&
-                              sm.hasResidencyHeadroom() &&
-                              !pendingSaturated(sm) && roomToGrow(sm);
-        Cta *ready = bestPendingCta(sm, now);
-        if (!can_grow && !ready) {
-            noPartner(sm, *cta, now);
-            continue;
-        }
-        switch (switchOut(sm, *cta, now, ready)) {
-          case SwitchOut::Evicted:
-            bringIn(sm, now, can_grow, ready);
-            break;
-          case SwitchOut::Swapped:
-            break;
-          case SwitchOut::Refused:
+    const std::vector<Cta *> &opened = sm.openedStallWindows(now);
+    if (opened.empty() && now < st.quietUntil &&
+        sm.stateEpoch() == st.quietEpoch &&
+        dispatcher().hasWork() == st.quietHasWork) {
+        // Every parked CTA would decide as at its last visit.
+        if (st.refusedParked > 0)
             st.depleted = true;
+        return;
+    }
+
+    // Visit in launch order (the order of the old per-tick scan): admit
+    // the windows that opened this tick among the parked CTAs.
+    std::vector<Parked> &parked = st.parked;
+    for (Cta *cta : opened) {
+        const auto at = std::upper_bound(
+            parked.begin(), parked.end(), cta->launchSeq(),
+            [](unsigned seq, const Parked &p) {
+                return seq < p.cta->launchSeq();
+            });
+        parked.insert(at, Parked{cta, cta->stallWindow().episode});
+    }
+
+    std::size_t kept = 0;
+    st.refusedParked = 0;
+    st.quietUntil = kNoCycle;
+    for (std::size_t i = 0; i < parked.size(); ++i) {
+        Parked p = parked[i];
+        const Cta &cta = *p.cta;
+        if (cta.state() != CtaState::Active || !cta.stalledAt(now) ||
+            cta.stallWindow().episode != p.episode) {
+            continue; // the window closed
+        }
+        bool visit = !p.visited || now >= p.storeAt ||
+                     sm.stateEpoch() != p.epoch ||
+                     dispatcher().hasWork() != p.hasWork;
+        if (!visit && now >= p.partnerAt) {
+            // A pending CTA turned ready: a refused switch retries, and a
+            // CTA without a partner is visited only if one appeared.
+            const Partners partner = partners(sm, now);
+            visit = p.refused || partner.canGrow || partner.ready;
+            p.partnerAt = partner.readyAt;
+        }
+        if (visit) {
+            if (!visitStalled(sm, p, now))
+                continue;
+        } else if (p.refused) {
+            st.depleted = true; // still refused: the store stays full
+        }
+        parked[kept++] = p;
+        st.refusedParked += p.refused ? 1 : 0;
+        st.quietUntil = std::min(
+            {st.quietUntil, p.partnerAt, p.storeAt, cta.stallWindow().until});
+    }
+    parked.resize(kept);
+
+    // A switch late in the pass moved the epoch under earlier visits:
+    // those decide again next tick.
+    st.quietEpoch = sm.stateEpoch();
+    st.quietHasWork = dispatcher().hasWork();
+    for (const Parked &p : parked) {
+        if (p.epoch != st.quietEpoch || p.hasWork != st.quietHasWork)
+            st.quietUntil = 0;
+    }
+}
+
+SwitchingPolicy::Partners
+SwitchingPolicy::partners(const Sm &sm, Cycle now) const
+{
+    Partners p;
+    // Growing the resident set: a brand-new CTA takes over the slot.
+    // Growth is damped once enough pending CTAs exist to hide stalls.
+    p.canGrow = dispatcher().hasWork() &&
+                sm.shmemFree() >= sm.context().kernel().shmemPerCta() &&
+                sm.hasResidencyHeadroom() && !pendingSaturated(sm) &&
+                roomToGrow(sm);
+    // The ready partner is bestPendingCta(now); the choice can change by
+    // time alone when the next pending CTA turns ready.
+    p.ready = nullptr;
+    Cycle next_ready = state(sm).pendingReady.minReady();
+    if (next_ready <= now) {
+        next_ready = kNoCycle;
+        Cycle best = kNoCycle;
+        for (Cta *cta : sm.pendingCtaList()) {
+            const Cycle ready = cta->policyReadyCycle;
+            if (ready > now) {
+                next_ready = std::min(next_ready, ready);
+            } else if (ready < best) {
+                p.ready = cta;
+                best = ready;
+            }
+        }
+    }
+    p.readyAt = next_ready;
+    return p;
+}
+
+bool
+SwitchingPolicy::visitStalled(Sm &sm, Parked &p, Cycle now)
+{
+    Cta &cta = *p.cta;
+    const Partners partner = partners(sm, now);
+    p.refused = false;
+    if (!partner.canGrow && !partner.ready) {
+        noPartner(sm, cta, now);
+        if (cta.state() != CtaState::Active)
+            return false; // the store moved it elsewhere
+    } else {
+        switch (switchOut(sm, cta, now, partner.ready)) {
+          case SwitchOut::Evicted:
+            bringIn(sm, now, partner.canGrow, partner.ready);
+            return false;
+          case SwitchOut::Swapped:
+            return false;
+          case SwitchOut::Refused:
+            state(sm).depleted = true;
+            p.refused = true;
             break;
         }
     }
+    p.visited = true;
+    p.epoch = sm.stateEpoch();
+    p.hasWork = dispatcher().hasWork();
+    p.partnerAt = partner.readyAt;
+    p.storeAt = revisitHorizon(sm, now);
+    return true;
 }
 
 void
@@ -251,6 +337,8 @@ SwitchingPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
 {
     release(sm, cta);
     unpark(sm, cta);
+    std::erase_if(state(sm).parked,
+                  [&](const Parked &p) { return p.cta == &cta; });
 }
 
 bool

@@ -9,6 +9,12 @@
  * context store: a handful of hooks that say whether a CTA fits, move its
  * registers, and release them. DESIGN.md §6 lists the hooks and the
  * per-store behaviours the engine preserves.
+ *
+ * The engine visits a stalled CTA when its stall window opens
+ * (Sm::openedStallWindows). A CTA it keeps active stays parked for the
+ * rest of the window and is visited again only when the decision can
+ * change: when the SM's state epoch or the grid's remaining work changes,
+ * or when a pending CTA's ready cycle or a store horizon passes.
  */
 
 #ifndef FINEREG_POLICIES_SWITCHING_POLICY_HH
@@ -101,6 +107,13 @@ class SwitchingPolicy : public Policy
     /** Soonest ready cycle in the second tier (kNoCycle when empty). */
     virtual Cycle secondTierReady(const Sm &) const { return kNoCycle; }
 
+    /**
+     * Earliest cycle after @p now at which a store-side gate of a parked
+     * stalled CTA may open without an SM state transition (kNoCycle: no
+     * such gate).
+     */
+    virtual Cycle revisitHorizon(const Sm &, Cycle) const { return kNoCycle; }
+
     /** Extra wake latency of a resume that refills a free slot. */
     virtual Cycle refillLatency() const { return switchLatency(); }
 
@@ -126,6 +139,28 @@ class SwitchingPolicy : public Policy
     bool pendingSaturated(const Sm &sm) const;
 
   private:
+    /** A stalled CTA in its open window, kept active by its last visit. */
+    struct Parked
+    {
+        Cta *cta;
+        unsigned episode;          ///< Its Cta::StallWindow::episode.
+        bool visited = false;      ///< false until the first visit.
+        bool refused = false;      ///< The last visit ended Refused.
+        bool hasWork = false;      ///< Grid work remained at the last visit.
+        std::uint64_t epoch = 0;   ///< Sm::stateEpoch() at the last visit.
+        Cycle partnerAt = 0;       ///< A pending CTA may turn ready.
+        Cycle storeAt = 0;         ///< The store's revisitHorizon().
+    };
+
+    /** What a stalled CTA could switch with: a function of the SM state
+     * epoch, the grid's remaining work and the cycle. */
+    struct Partners
+    {
+        bool canGrow = false;  ///< A fresh CTA may take the slot.
+        Cta *ready = nullptr;  ///< The soonest ready pending CTA.
+        Cycle readyAt = 0;     ///< The next pending CTA turns ready.
+    };
+
     struct SmState
     {
         /** On-chip pending CTA -> estimated ready cycle. */
@@ -134,6 +169,16 @@ class SwitchingPolicy : public Policy
         /** Fig. 14 flag: this tick, schedulable work was blocked on
          * register space. */
         bool depleted = false;
+
+        /** Parked CTAs in launch order. */
+        std::vector<Parked> parked;
+
+        /** No parked CTA needs a visit while the epoch and the grid's
+         * remaining work stay as they were and now < quietUntil. */
+        std::uint64_t quietEpoch = 0;
+        bool quietHasWork = false;
+        Cycle quietUntil = 0;
+        unsigned refusedParked = 0;
     };
 
     SmState &state(const Sm &sm) const;
@@ -148,6 +193,12 @@ class SwitchingPolicy : public Policy
     /** Switch fully stalled active CTAs out for fresh or ready ones. */
     void switchStalledCtas(Sm &sm, Cycle now);
 
+    /** The partners a stalled CTA has at @p now. */
+    Partners partners(const Sm &sm, Cycle now) const;
+
+    /** Decide for stalled @p p.cta; false when it left the pipeline. */
+    bool visitStalled(Sm &sm, Parked &p, Cycle now);
+
     /** After an eviction, fill the slot with a fresh or ready CTA. */
     void bringIn(Sm &sm, Cycle now, bool can_grow, Cta *ready);
 
@@ -159,20 +210,10 @@ class SwitchingPolicy : public Policy
      */
     unsigned baselineActiveEstimate(const Sm &sm) const;
 
-    /**
-     * Active CTAs whose warps are all blocked on global memory this
-     * cycle (Sec. IV-A's switch candidates), in launch order. Memoizes
-     * each CTA's stalled-until horizon so warps are not rescanned every
-     * cycle. Returns an internal scratch vector, valid until the next call.
-     */
-    const std::vector<Cta *> &collectStalledCtas(Sm &sm, Cycle now);
-
     mutable std::vector<SmState> states_;
 
     /** Cache for baselineActiveEstimate (0 = not yet computed). */
     mutable unsigned baselineEstimate_ = 0;
-
-    std::vector<Cta *> stalledScratch_;
 };
 
 } // namespace finereg

@@ -96,8 +96,7 @@ class Rmu
      * (every path's registers must survive).
      *
      * Returns a reference to an internal scratch Gather, valid until the
-     * next call: the switch loop probes a gather per stalled CTA per tick,
-     * and reusing the buffer keeps the hot path allocation-free.
+     * next call: reusing the buffer keeps the switch path allocation-free.
      */
     const Gather &gatherLiveRegs(const Cta &cta, Cycle now);
 

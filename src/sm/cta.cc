@@ -39,73 +39,29 @@ Cta::arriveAtBarrier()
     return barrierCount_ >= live;
 }
 
-bool
-Cta::fullyStalledOnMemory(Cycle now) const
+Cta::StallCheck
+Cta::checkFullStall(Cycle now) const
 {
-    return fullyStalledUntil(now) > now;
-}
-
-Cycle
-Cta::fullyStalledUntil(Cycle now) const
-{
-    bool any_mem_blocked = false;
+    StallCheck check;
     Cycle until = kNoCycle;
-    for (const auto &warp : warps_) {
-        if (warp->finished())
-            continue;
-        if (warp->atBarrier()) {
-            // A barrier-parked warp neither runs nor blocks switching:
-            // whether the CTA is stalled depends on the warps still
-            // executing toward the barrier.
-            continue;
-        }
-        if (warp->earliestIssue() > now)
-            return 0; // still in its issue shadow; not a stall
-        const Instruction &instr = warp->currentInstr();
-        if (!warp->scoreboard().blockedOnMemory(instr, now))
-            return 0;
-        any_mem_blocked = true;
-        // The warp stays blocked until its operands land.
-        Scoreboard &sb = const_cast<Scoreboard &>(warp->scoreboard());
-        until = std::min(until, sb.readyCycle(instr, now));
-    }
-    if (!any_mem_blocked)
-        return 0;
-    return std::max(until, now + 1);
-}
-
-bool
-Cta::rescanStall(Cycle now) const
-{
-    // Rescan, and record how long the verdict holds absent a mutation
-    // (mutations reset stallHorizon_ to 0, forcing the next call here).
-    stallStalled_ = false;
-    stallHorizon_ = kNoCycle;
     bool any_mem_blocked = false;
-    Cycle until = kNoCycle;
     for (const auto &warp : warps_) {
         if (warp->finished() || warp->atBarrier())
             continue;
         if (warp->earliestIssue() > now) {
-            // Issue shadow: not a stall until the shadow expires.
-            stallHorizon_ = warp->earliestIssue();
-            return false;
+            // Issue shadow: not a stall until the shadow ends.
+            check.recheckAt = warp->earliestIssue();
+            return check;
         }
-        const Instruction &instr = warp->currentInstr();
-        if (!warp->scoreboard().blockedOnMemory(instr, now)) {
-            // An issuable (or non-memory-blocked) warp stays that way
-            // until it issues — which invalidates the memo.
-            return false;
-        }
+        // A warp not blocked on memory stays so until it issues.
+        if (warp->memoryHorizon() <= now)
+            return check;
         any_mem_blocked = true;
-        Scoreboard &sb = const_cast<Scoreboard &>(warp->scoreboard());
-        until = std::min(until, sb.readyCycle(instr, now));
+        until = std::min(until, warp->operandReadyCycle());
     }
-    if (!any_mem_blocked)
-        return false;
-    stallStalled_ = true;
-    stallHorizon_ = std::max(until, now + 1);
-    return true;
+    if (any_mem_blocked)
+        check.until = until; // > now: operands wait on memory past now
+    return check;
 }
 
 Cycle

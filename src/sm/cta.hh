@@ -3,8 +3,8 @@
  * Cooperative thread array: the unit FineReg's register management operates
  * on. A CTA is Active (warps schedulable, registers in the ACRF), Pending
  * (evicted from the pipeline, live registers in the PCRF / DRAM depending on
- * policy), or Done. The Cta tracks barrier state, stall detection, and the
- * timing probes Table III and Fig. 12 need.
+ * policy), or Done. The Cta tracks barrier state, its full-memory-stall
+ * window, and the timing probes Table III and Fig. 12 need.
  */
 
 #ifndef FINEREG_SM_CTA_HH
@@ -46,12 +46,7 @@ class Cta
     unsigned launchSeq() const { return launchSeq_; }
 
     CtaState state() const { return state_; }
-    void
-    setState(CtaState s)
-    {
-        state_ = s;
-        invalidateStallCache();
-    }
+    void setState(CtaState s) { state_ = s; }
 
     std::vector<std::unique_ptr<Warp>> &warps() { return warps_; }
     const std::vector<std::unique_ptr<Warp>> &warps() const { return warps_; }
@@ -59,12 +54,7 @@ class Cta
     unsigned numWarps() const { return warps_.size(); }
 
     unsigned finishedWarps() const { return finishedWarps_; }
-    void
-    noteWarpFinished()
-    {
-        ++finishedWarps_;
-        invalidateStallCache();
-    }
+    void noteWarpFinished() { ++finishedWarps_; }
     bool allWarpsFinished() const { return finishedWarps_ == warps_.size(); }
 
     const KernelContext &context() const { return *context_; }
@@ -78,58 +68,52 @@ class Cta
      *         arrived); the caller must then wake the waiting warps.
      */
     bool arriveAtBarrier();
-    void
-    releaseBarrier()
+    void releaseBarrier() { barrierCount_ = 0; }
+
+    // Stall window and probes ---------------------------------------------
+
+    /** Verdict of checkFullStall(). */
+    struct StallCheck
     {
-        barrierCount_ = 0;
-        invalidateStallCache();
-    }
-
-    // Stall detection and probes ---------------------------------------------
-
-    /**
-     * True when every unfinished warp is blocked on global memory — the
-     * condition that makes the CTA a switch candidate (Sec. IV-A).
-     */
-    bool fullyStalledOnMemory(Cycle now) const;
+        /** Fully stalled on memory for now < until (0: not stalled). */
+        Cycle until = 0;
+        /** Not stalled: check again at this cycle, when an issue shadow
+         * ends (kNoCycle: not before a warp of this CTA changes). */
+        Cycle recheckAt = kNoCycle;
+    };
 
     /**
-     * Stall check with memoization support: returns the cycle until which
-     * the CTA is guaranteed to remain fully stalled (the earliest warp
-     * wake-up), or 0 when the CTA is not fully stalled. Policies cache
-     * the result to avoid rescanning warps every cycle.
+     * Is every unfinished warp blocked on global memory at @p now — the
+     * condition that makes the CTA a switch candidate (Sec. IV-A)? Reads
+     * the warps' cached readiness. A stalled CTA counts as stalled until
+     * its first warp's operands are all back (the earliest operand-ready
+     * cycle); a warp still in its issue shadow defers the verdict to the
+     * end of that shadow. Barrier-parked warps neither run nor block.
      */
-    Cycle fullyStalledUntil(Cycle now) const;
+    StallCheck checkFullStall(Cycle now) const;
+
+    /**
+     * The CTA's full-memory-stall window, kept by the SM
+     * (Sm::openedStallWindows): the SM re-checks a CTA after its warps
+     * change and opens a numbered window when it turns fully stalled.
+     */
+    struct StallWindow
+    {
+        Cycle until = 0;        ///< The window is open while now < until.
+        Cycle checkAt = 0;      ///< Re-check at or after this cycle.
+        unsigned episode = 0;   ///< Windows opened so far.
+        bool watched = false;   ///< On the SM's re-check list.
+    };
+
+    StallWindow &stallWindow() { return stall_; }
+    const StallWindow &stallWindow() const { return stall_; }
+
+    /** True while the CTA's stall window is open at @p now. */
+    bool stalledAt(Cycle now) const { return now < stall_.until; }
 
     /** Last cycle any warp of this CTA issued (O(1), kept by the SM). */
     Cycle lastIssueCycle() const { return lastIssue_; }
-    void
-    noteIssue(Cycle now)
-    {
-        lastIssue_ = now;
-        invalidateStallCache();
-    }
-
-    /**
-     * Memoised fullyStalledOnMemory: the last scan's verdict is reused
-     * while no warp of this CTA mutated and @p now is before the cached
-     * horizon (earliest wake for a stalled CTA, issue-shadow expiry for
-     * a not-yet-issuable one, forever for a CTA with an issuable warp —
-     * time alone can never turn an issuable warp into a blocked one).
-     * Every mutation path (issue, earliest-issue wake, barrier traffic,
-     * warp finish, state change) resets the horizon, so the cached
-     * verdict is always identical to a fresh warp scan.
-     */
-    bool
-    stalledOnMemoryCached(Cycle now) const
-    {
-        if (now < stallHorizon_)
-            return stallStalled_; // memo hit: the hot path
-        return rescanStall(now);
-    }
-
-    /** Drop the stall memo after a warp-visible state change. */
-    void invalidateStallCache() { stallHorizon_ = 0; }
+    void noteIssue(Cycle now) { lastIssue_ = now; }
 
     /**
      * Cycle at which the CTA is worth reactivating: when at least half of
@@ -190,14 +174,9 @@ class Cta
 
     Cycle episodeStart_ = 0;
     bool episodeOpen_ = false;
-    /** Slow path of stalledOnMemoryCached: scan warps, refresh memo. */
-    bool rescanStall(Cycle now) const;
 
     Cycle lastIssue_ = 0;
-
-    // Stall memo (see stalledOnMemoryCached). Horizon 0 = invalid.
-    mutable Cycle stallHorizon_ = 0;
-    mutable bool stallStalled_ = false;
+    StallWindow stall_;
 };
 
 } // namespace finereg

@@ -9,6 +9,7 @@
 #ifndef FINEREG_SM_SCOREBOARD_HH
 #define FINEREG_SM_SCOREBOARD_HH
 
+#include <algorithm>
 #include <array>
 
 #include "common/bitvec.hh"
@@ -33,34 +34,38 @@ class Scoreboard
             fromMem_.reset(reg);
     }
 
-    /** True when every operand of @p instr is available at @p now. */
-    bool
-    ready(const Instruction &instr, Cycle now)
-    {
-        return readyCycle(instr, now) <= now;
-    }
-
     /**
-     * Earliest cycle at which @p instr can issue: the latest ready time of
-     * its sources (RAW) and destination (WAW). Expires settled entries as a
-     * side effect.
+     * Earliest cycle at which every operand of @p instr is available: the
+     * latest recorded ready time of its sources (RAW) and destination
+     * (WAW). It is <= t exactly when every pending operand has settled by
+     * t; 0 when none was ever written.
      */
     Cycle
-    readyCycle(const Instruction &instr, Cycle now)
+    operandReadyCycle(const Instruction &instr) const
     {
         Cycle latest = 0;
         auto consider = [&](int reg) {
-            if (reg < 0)
-                return;
-            const auto r = static_cast<RegIndex>(reg);
-            if (!pending_.test(r))
-                return;
-            if (readyAt_[r] <= now) {
-                pending_.reset(r);
-                fromMem_.reset(r);
-                return;
-            }
-            latest = std::max(latest, readyAt_[r]);
+            if (reg >= 0)
+                latest = std::max(latest, readyAt_[reg]);
+        };
+        for (int src : instr.srcs)
+            consider(src);
+        consider(instr.dst);
+        return latest;
+    }
+
+    /**
+     * Cycle until which @p instr waits on an outstanding global-memory
+     * load: blockedOnMemory(instr, t) holds exactly when t is below it.
+     * 0 when no operand comes from global memory.
+     */
+    Cycle
+    memoryHorizon(const Instruction &instr) const
+    {
+        Cycle latest = 0;
+        auto consider = [&](int reg) {
+            if (reg >= 0 && fromMem_.test(static_cast<RegIndex>(reg)))
+                latest = std::max(latest, readyAt_[reg]);
         };
         for (int src : instr.srcs)
             consider(src);
@@ -70,7 +75,8 @@ class Scoreboard
 
     /**
      * True when @p instr cannot issue at @p now *and* at least one blocking
-     * operand is an outstanding global-memory load.
+     * operand is an outstanding global-memory load. The reference
+     * definition memoryHorizon() is checked against.
      */
     bool
     blockedOnMemory(const Instruction &instr, Cycle now) const
@@ -111,8 +117,8 @@ class Scoreboard
 
     // Auditor introspection --------------------------------------------------
 
-    /** Registers with a recorded in-flight write (may include writes that
-     * already settled but were not yet lazily expired). */
+    /** Registers with a recorded write since the last clear() (settled
+     * writes included: readiness compares ready cycles, not this mask). */
     const RegBitVec &pendingMask() const { return pending_; }
 
     /** Subset of pendingMask() whose writes come from global memory. */

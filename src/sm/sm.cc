@@ -128,12 +128,13 @@ Sm::launchCta(GridCtaId grid_id, Cycle now)
     activeThreadSlots_ += kernel.threadsPerCta();
     residentWarps_ += kernel.warpsPerCta();
     activeLiveWarps_ += kernel.warpsPerCta();
-    stateEdge_ = true;
+    ++stateEpoch_;
 
     for (auto &warp : raw->warps())
         warp->setEarliestIssue(now + 1);
     addWarpToSchedulers(*raw);
     raw->startExecutionEpisode(now);
+    watchStall(*raw);
     return raw;
 }
 
@@ -152,7 +153,8 @@ Sm::suspendCta(Cta &cta, Cycle now)
     activeWarpSlots_ -= kernel.warpsPerCta();
     activeThreadSlots_ -= kernel.threadsPerCta();
     activeLiveWarps_ -= cta.numWarps() - cta.finishedWarps();
-    stateEdge_ = true;
+    ++stateEpoch_;
+    cta.stallWindow().until = 0; // off the pipeline: the window closes
 
     if (stallProbe_) {
         const Cycle episode = cta.closeExecutionEpisode(now);
@@ -179,13 +181,14 @@ Sm::resumeCta(Cta &cta, Cycle now, Cycle wake_latency)
     activeWarpSlots_ += kernel.warpsPerCta();
     activeThreadSlots_ += kernel.threadsPerCta();
     activeLiveWarps_ += cta.numWarps() - cta.finishedWarps();
-    stateEdge_ = true;
+    ++stateEpoch_;
     for (auto &warp : cta.warps()) {
         if (!warp->finished())
             warp->setEarliestIssue(now + wake_latency);
     }
     addWarpToSchedulers(cta);
     cta.startExecutionEpisode(now + wake_latency);
+    watchStall(cta);
 }
 
 std::vector<Cta *>
@@ -206,14 +209,10 @@ Sm::destroyCta(Cta &cta)
         [&](const std::unique_ptr<Cta> &p) { return p.get() == &cta; });
     if (it == ctas_.end())
         FINEREG_PANIC("destroyCta: CTA not resident on SM ", id_);
+    if (cta.stallWindow().watched)
+        std::erase(stallWatch_, &cta);
     residentWarps_ -= cta.numWarps();
     ctas_.erase(it);
-}
-
-Cycle
-Sm::ctaLastIssue(const Cta &cta) const
-{
-    return cta.lastIssueCycle();
 }
 
 void
@@ -233,26 +232,9 @@ void
 Sm::removeWarpFromSchedulers(Cta &cta)
 {
     for (auto &warp : cta.warps()) {
-        for (auto &sched : schedulers_)
-            sched.removeWarp(warp.get());
+        if (WarpScheduler *owner = warp->owner())
+            owner->removeWarp(warp.get());
     }
-}
-
-bool
-Sm::warpIssuable(Warp *warp, Cycle now)
-{
-    if (warp->finished() || warp->atBarrier())
-        return false;
-    if (warp->earliestIssue() > now)
-        return false;
-    if (warp->pastEnd())
-        return true; // will be retired at issue
-    const Instruction &instr = warp->currentInstr();
-    if (isMemory(instr.op) && isGlobalMemory(instr.op) &&
-        memIssuedThisCycle_ >= config_.memPortsPerCycle) {
-        return false;
-    }
-    return warp->scoreboard().ready(instr, now);
 }
 
 unsigned
@@ -260,10 +242,13 @@ Sm::tick(Cycle now)
 {
     memIssuedThisCycle_ = 0;
     issuedLastTick_ = 0;
+    stallOpened_.clear();
 
     for (auto &sched : schedulers_) {
-        Warp *warp =
-            sched.pick([&](Warp *w) { return warpIssuable(w, now); });
+        if (sched.nextDue() > now)
+            continue; // no listed warp can issue yet
+        Warp *warp = sched.pick(
+            now, memIssuedThisCycle_ < config_.memPortsPerCycle);
         if (!warp)
             continue;
         if (warp->pastEnd()) {
@@ -278,25 +263,64 @@ Sm::tick(Cycle now)
     issuedCtr_->inc(issuedLastTick_);
 
     if (stallProbe_)
-        checkStallEpisodes(now);
+        updateStallWindows(now);
 
     return issuedLastTick_;
 }
 
 void
-Sm::checkStallEpisodes(Cycle now)
+Sm::watchStall(Cta &cta)
 {
-    for (auto &cta : ctas_) {
-        if (cta->state() != CtaState::Active)
-            continue;
-        if (ctaLastIssue(*cta) == now)
-            continue; // issued this cycle; not stalled
-        if (cta->fullyStalledOnMemory(now)) {
-            const Cycle episode = cta->closeExecutionEpisode(now);
-            if (episode > 0)
-                stallEpisode_->sample(static_cast<double>(episode));
-        }
+    if (!stallTracking_)
+        return;
+    Cta::StallWindow &window = cta.stallWindow();
+    window.checkAt = 0;
+    if (!window.watched) {
+        window.watched = true;
+        stallWatch_.push_back(&cta);
     }
+}
+
+void
+Sm::updateStallWindows(Cycle now)
+{
+    std::size_t kept = 0;
+    for (Cta *cta : stallWatch_) {
+        Cta::StallWindow &window = cta->stallWindow();
+        bool keep = cta->state() == CtaState::Active;
+        if (keep && cta->lastIssueCycle() != now && window.checkAt <= now) {
+            const Cta::StallCheck check = cta->checkFullStall(now);
+            window.checkAt = check.recheckAt;
+            keep = check.recheckAt != kNoCycle;
+            if (check.until > now) {
+                window.until = check.until;
+                ++window.episode;
+                stallOpened_.push_back(cta);
+                if (stallProbe_) {
+                    // Table III: the execution episode ends at the stall.
+                    const Cycle episode = cta->closeExecutionEpisode(now);
+                    if (episode > 0)
+                        stallEpisode_->sample(static_cast<double>(episode));
+                }
+            }
+        }
+        if (keep)
+            stallWatch_[kept++] = cta;
+        else
+            window.watched = false;
+    }
+    stallWatch_.resize(kept);
+}
+
+const std::vector<Cta *> &
+Sm::openedStallWindows(Cycle now)
+{
+    updateStallWindows(now);
+    std::sort(stallOpened_.begin(), stallOpened_.end(),
+              [](const Cta *a, const Cta *b) {
+                  return a->launchSeq() < b->launchSeq();
+              });
+    return stallOpened_;
 }
 
 void
@@ -314,8 +338,6 @@ Sm::issueInstr(Warp &warp, Cycle now)
     // stall opens a new one.
     warp.cta()->startExecutionEpisodeIfClosed(now);
 
-    warp.bumpIssuedInstrs();
-    warp.setLastIssueCycle(now);
     warp.cta()->noteIssue(now);
     warp.setEarliestIssue(now + 1);
 
@@ -371,11 +393,12 @@ Sm::issueInstr(Warp &warp, Cycle now)
             if (warp.cta()->arriveAtBarrier()) {
                 for (auto &w : warp.cta()->warps()) {
                     if (!w->finished()) {
-                        w->setAtBarrier(false);
                         w->setEarliestIssue(now + 1);
+                        w->setAtBarrier(false);
                     }
                 }
                 warp.cta()->releaseBarrier();
+                watchStall(*warp.cta());
             }
             break;
           }
@@ -388,8 +411,16 @@ Sm::issueInstr(Warp &warp, Cycle now)
         break;
     }
 
-    if (!warp.finished())
+    if (!warp.finished()) {
         warp.reconvergeIfNeeded();
+        warp.refreshReadiness();
+        // The CTA can turn fully stalled only once this warp waits on
+        // memory past its issue shadow, or parks at a barrier.
+        if (warp.atBarrier() ||
+            warp.memoryHorizon() > warp.earliestIssue()) {
+            watchStall(*warp.cta());
+        }
+    }
 }
 
 void
@@ -451,8 +482,7 @@ void
 Sm::finishWarp(Warp &warp, Cycle now)
 {
     Cta *cta = warp.cta();
-    for (auto &sched : schedulers_)
-        sched.removeWarp(&warp);
+    warp.owner()->removeWarp(&warp);
 
     if (!warp.finished()) {
         // Retired via pastEnd(): mark done.
@@ -460,6 +490,7 @@ Sm::finishWarp(Warp &warp, Cycle now)
     }
     cta->noteWarpFinished();
     --activeLiveWarps_; // finishing warps are always on an Active CTA
+    watchStall(*cta);
 
     // A warp leaving can release a barrier the rest of the CTA waits on.
     if (!cta->allWarpsFinished()) {
@@ -474,8 +505,8 @@ Sm::finishWarp(Warp &warp, Cycle now)
         if (live > 0 && waiting == live) {
             for (auto &w : cta->warps()) {
                 if (!w->finished()) {
-                    w->setAtBarrier(false);
                     w->setEarliestIssue(now + 1);
+                    w->setAtBarrier(false);
                 }
             }
             cta->releaseBarrier();
@@ -496,7 +527,7 @@ Sm::finishWarp(Warp &warp, Cycle now)
     removeWarpFromSchedulers(*cta);
     cta->setState(CtaState::Done);
     shmemUsed_ -= kernel.shmemPerCta();
-    stateEdge_ = true;
+    ++stateEpoch_;
     finished_.push_back(cta);
 }
 
@@ -508,11 +539,12 @@ Sm::nextWakeCycle(Cycle now) const
         for (const auto &warp : cta->warps()) {
             if (warp->finished() || warp->atBarrier())
                 continue;
+            // A warp in its issue shadow wakes when the shadow ends (its
+            // CTA may turn fully stalled then); past it, when its
+            // operands land.
             Cycle candidate = warp->earliestIssue();
-            if (candidate <= now && !warp->pastEnd()) {
-                // Blocked on the scoreboard; wake when operands land.
-                Scoreboard &sb = const_cast<Scoreboard &>(warp->scoreboard());
-                candidate = sb.readyCycle(warp->currentInstr(), now);
+            if (candidate <= now) {
+                candidate = warp->operandReadyCycle();
                 if (candidate <= now)
                     return now + 1; // issuable immediately
             }

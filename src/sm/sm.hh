@@ -141,8 +141,8 @@ class Sm
 
     unsigned activeCtaCount() const { return activeCtas_; }
 
-    /** Pending CTA count, maintained incrementally (hot path: policy
-     * saturation checks run it once per stalled CTA per tick). */
+    /** Pending CTA count, maintained incrementally (hot path: the policy's
+     * growth damper reads it). */
     unsigned pendingCtaCount() const { return pendingCtas_; }
 
     /** Resident warp count, maintained incrementally. */
@@ -164,16 +164,23 @@ class Sm
     /** Remove a Done CTA from the resident set. */
     void destroyCta(Cta &cta);
 
-    /** Last cycle any warp of @p cta issued. */
-    Cycle ctaLastIssue(const Cta &cta) const;
-
     // Probes ------------------------------------------------------------------
 
     /** Enable the Fig. 5 register-usage window tracker. */
     void enableUsageTracking(bool on) { usageTracking_ = on; }
 
-    /** Enable the Table III stall-episode probe. */
-    void enableStallProbe(bool on) { stallProbe_ = on; }
+    /** Enable the Table III stall-episode probe (it reads the stall
+     * windows, so it also turns on stall tracking). */
+    void
+    enableStallProbe(bool on)
+    {
+        stallProbe_ = on;
+        stallTracking_ = stallTracking_ || on;
+    }
+
+    /** Keep every active CTA's full-memory-stall window (the switching
+     * engine's candidates). Off by default: Baseline never pays for it. */
+    void enableStallTracking() { stallTracking_ = true; }
 
     /** Attach functional value trackers to CTAs launched from now on
      * (differential/golden end-state capture; no timing effect). */
@@ -186,21 +193,44 @@ class Sm
 
     StatGroup &stats() { return *stats_; }
 
+    // Stall windows (when stall tracking is on) ----------------------------
+
     /**
-     * True when a CTA state transition (launch, suspend, resume, whole-CTA
-     * finish) happened since the last call; consumed by the sampled
-     * invariant auditor to audit every transition edge.
+     * Re-check the CTAs whose warps changed, or whose issue shadow has
+     * ended (updateStallWindows), then return the CTAs whose stall window
+     * opened during this cycle, in launch order. Valid until the next
+     * tick().
+     */
+    const std::vector<Cta *> &openedStallWindows(Cycle now);
+
+    /**
+     * Count of CTA state transitions (launch, suspend, resume, whole-CTA
+     * finish) so far. Every change to slots, shared memory, residency or a
+     * policy's register stores happens at one of them, so a switching
+     * decision that saw the same epoch sees the same SM.
+     */
+    std::uint64_t stateEpoch() const { return stateEpoch_; }
+
+    /**
+     * True when a CTA state transition happened since the last call;
+     * consumed by the sampled invariant auditor to audit every transition
+     * edge.
      */
     bool
     takeStateEdge()
     {
-        const bool edge = stateEdge_;
-        stateEdge_ = false;
+        const bool edge = stateEpoch_ != edgesAudited_;
+        edgesAudited_ = stateEpoch_;
         return edge;
     }
 
+    /** The warp schedulers (auditor introspection). */
+    const std::vector<WarpScheduler> &schedulers() const
+    {
+        return schedulers_;
+    }
+
   private:
-    bool warpIssuable(Warp *warp, Cycle now);
     void issueInstr(Warp &warp, Cycle now);
     void execBranch(Warp &warp, const Instruction &instr, Cycle now);
     void execMemory(Warp &warp, const Instruction &instr, Cycle now);
@@ -209,7 +239,16 @@ class Sm
     void addWarpToSchedulers(Cta &cta);
     void removeWarpFromSchedulers(Cta &cta);
     void trackUsage(const Warp &warp, const Instruction &instr);
-    void checkStallEpisodes(Cycle now);
+
+    /** Re-check @p cta's stall window at the next updateStallWindows(). */
+    void watchStall(Cta &cta);
+
+    /**
+     * Re-check the watched CTAs that are due and open a stall window
+     * (Cta::stallWindow) for each that is now fully stalled on memory.
+     * A CTA that issued this cycle is checked on a later one.
+     */
+    void updateStallWindows(Cycle now);
 
     SmId id_;
     SmConfig config_;
@@ -236,7 +275,8 @@ class Sm
     unsigned activeLiveWarps_ = 0;
     std::uint64_t shmemUsed_ = 0;
     unsigned launchSeq_ = 0;
-    bool stateEdge_ = false;
+    std::uint64_t stateEpoch_ = 0;
+    std::uint64_t edgesAudited_ = 0;
 
     unsigned memIssuedThisCycle_ = 0;
     unsigned issuedLastTick_ = 0;
@@ -251,6 +291,10 @@ class Sm
 
     bool stallProbe_ = false;
     bool trackValues_ = false;
+
+    bool stallTracking_ = false;
+    std::vector<Cta *> stallWatch_;
+    std::vector<Cta *> stallOpened_;
 
     Counter *issuedCtr_;
     Counter *rfReads_;

@@ -5,15 +5,35 @@
 
 #include "common/log.hh"
 #include "sm/cta.hh"
+#include "sm/warp_scheduler.hh"
 
 namespace finereg
 {
 
 void
-Warp::setEarliestIssue(Cycle c)
+Warp::setAtBarrier(bool v)
 {
-    earliestIssue_ = std::max(earliestIssue_, c);
-    cta_->invalidateStallCache();
+    atBarrier_ = v;
+    if (owner_)
+        owner_->lowerBound(wakeCycle());
+}
+
+void
+Warp::refreshReadiness()
+{
+    if (finished_ || pastEnd()) {
+        // A warp past the kernel end retires at its next pick.
+        operandReady_ = 0;
+        memHorizon_ = 0;
+        needsMemPort_ = false;
+    } else {
+        const Instruction &instr = currentInstr();
+        operandReady_ = scoreboard_.operandReadyCycle(instr);
+        memHorizon_ = scoreboard_.memoryHorizon(instr);
+        needsMemPort_ = isMemory(instr.op) && isGlobalMemory(instr.op);
+    }
+    if (owner_)
+        owner_->lowerBound(wakeCycle());
 }
 
 Warp::Warp(Cta *cta, WarpId id, const KernelContext &context,
@@ -24,6 +44,7 @@ Warp::Warp(Cta *cta, WarpId id, const KernelContext &context,
       lastAddr_(context.numMemInstrs(), 0), rng_(seed)
 {
     stack_.push_back({0, 0xffffffffu, context.endPc()});
+    refreshReadiness();
 }
 
 unsigned

@@ -9,6 +9,7 @@
 #ifndef FINEREG_SM_WARP_HH
 #define FINEREG_SM_WARP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,7 @@ namespace finereg
 {
 
 class Cta;
+class WarpScheduler;
 
 /** Why a warp cannot issue right now. */
 enum class BlockReason : unsigned char
@@ -86,21 +88,62 @@ class Warp
 
     // Scheduling state -------------------------------------------------------
 
+    /** The scoreboard. A write recorded here is seen by the readiness
+     * cache only at the next refreshReadiness(). */
     Scoreboard &scoreboard() { return scoreboard_; }
     const Scoreboard &scoreboard() const { return scoreboard_; }
 
-    /** Earliest cycle the front end may issue from this warp. Setting it
-     * drops the parent CTA's stall memo (defined in warp.cc: Cta is
-     * incomplete here). */
+    /** Earliest cycle the front end may issue from this warp. Raising it
+     * can only delay the wake cycle, so the owner's bound stays valid. */
     Cycle earliestIssue() const { return earliestIssue_; }
-    void setEarliestIssue(Cycle c);
+    void
+    setEarliestIssue(Cycle c)
+    {
+        earliestIssue_ = std::max(earliestIssue_, c);
+    }
 
+    /** Entering a barrier parks the warp; leaving it wakes the warp at
+     * its wake cycle and tells the owner scheduler. */
     bool atBarrier() const { return atBarrier_; }
-    void setAtBarrier(bool v) { atBarrier_ = v; }
+    void setAtBarrier(bool v);
 
-    /** Last cycle this warp issued (GTO greediness / age tiebreaks). */
-    Cycle lastIssueCycle() const { return lastIssueCycle_; }
-    void setLastIssueCycle(Cycle c) { lastIssueCycle_ = c; }
+    // Readiness cache ----------------------------------------------------
+    //
+    // The scoreboard answers for the current instruction, which changes
+    // only when this warp issues; refreshReadiness() recomputes the cache
+    // once per issue, and every other query reads it. The wake cycle is
+    // derived from it on read.
+
+    /**
+     * First cycle the warp can issue, ignoring the per-cycle memory port:
+     * max(earliestIssue(), operandReadyCycle()); kNoCycle while finished
+     * or at a barrier.
+     */
+    Cycle
+    wakeCycle() const
+    {
+        return finished_ || atBarrier_
+                   ? kNoCycle
+                   : std::max(earliestIssue_, operandReady_);
+    }
+
+    /** Operand-ready cycle of the current instruction (0 past the end). */
+    Cycle operandReadyCycle() const { return operandReady_; }
+
+    /** Memory horizon of the current instruction: it is blocked on global
+     * memory at t exactly when t < memoryHorizon(). */
+    Cycle memoryHorizon() const { return memHorizon_; }
+
+    /** The current instruction needs the SM's global-memory port. */
+    bool needsMemPort() const { return needsMemPort_; }
+
+    /** Recompute the cache from the scoreboard and current instruction,
+     * and lower the owner scheduler's wake bound to the new wake. */
+    void refreshReadiness();
+
+    /** Scheduler whose list holds this warp (nullptr when unscheduled). */
+    WarpScheduler *owner() const { return owner_; }
+    void setOwner(WarpScheduler *s) { owner_ = s; }
 
     // Loop and memory side state ---------------------------------------------
 
@@ -115,10 +158,6 @@ class Warp
     Addr lastMemAddr(int mem_id) const { return lastAddr_[mem_id]; }
     void setLastMemAddr(int mem_id, Addr a) { lastAddr_[mem_id] = a; }
 
-    /** Dynamic instructions this warp has issued. */
-    std::uint64_t issuedInstrs() const { return issuedInstrs_; }
-    void bumpIssuedInstrs() { ++issuedInstrs_; }
-
     const KernelContext &context() const { return *context_; }
 
     /** Next instruction this warp will execute; finished() must be false. */
@@ -130,20 +169,24 @@ class Warp
   private:
     Cta *cta_;
     WarpId id_;
-    const KernelContext *context_;
-
-    std::vector<StackEntry> stack_;
     bool finished_ = false;
     bool atBarrier_ = false;
+    bool needsMemPort_ = false;
+    const KernelContext *context_;
 
-    Scoreboard scoreboard_;
+    // What the issue stage reads, ahead of the scoreboard so that a
+    // scheduler scan touches one cache line per warp.
     Cycle earliestIssue_ = 0;
-    Cycle lastIssueCycle_ = 0;
+    Cycle operandReady_ = 0;
+    Cycle memHorizon_ = 0;
+    WarpScheduler *owner_ = nullptr;
+
+    std::vector<StackEntry> stack_;
+    Scoreboard scoreboard_;
 
     std::vector<unsigned> loopRemaining_;
     std::vector<std::uint32_t> memExec_;
     std::vector<Addr> lastAddr_;
-    std::uint64_t issuedInstrs_ = 0;
     Rng rng_;
 };
 

@@ -174,6 +174,43 @@ InvariantAuditor::auditSm(Gpu &gpu, Sm &sm, Cycle now) const
         }
     }
 
+    // The issue stage trusts each scheduled warp's readiness cache and
+    // its scheduler's wake bound; re-derive both from the scoreboards.
+    for (const WarpScheduler &sched : sm.schedulers()) {
+        for (const Warp *warp : sched.warps()) {
+            const GridCtaId cta = warp->cta()->gridId();
+            if (warp->owner() != &sched) {
+                std::ostringstream oss;
+                oss << "warp " << warp->id() << " sits on scheduler "
+                    << sched.id() << " but names another owner";
+                fail("warp-readiness", oss.str(), cta, sm_id, now);
+            }
+            Cycle op_ready = 0;
+            Cycle mem_horizon = 0;
+            if (!warp->finished() && !warp->pastEnd()) {
+                const Instruction &instr = warp->currentInstr();
+                op_ready = warp->scoreboard().operandReadyCycle(instr);
+                mem_horizon = warp->scoreboard().memoryHorizon(instr);
+            }
+            if (warp->operandReadyCycle() != op_ready ||
+                warp->memoryHorizon() != mem_horizon) {
+                std::ostringstream oss;
+                oss << "warp " << warp->id() << " caches operand-ready "
+                    << warp->operandReadyCycle() << " / memory horizon "
+                    << warp->memoryHorizon() << " but its scoreboard says "
+                    << op_ready << " / " << mem_horizon;
+                fail("warp-readiness", oss.str(), cta, sm_id, now);
+            }
+            if (sched.nextDue() > warp->wakeCycle()) {
+                std::ostringstream oss;
+                oss << "scheduler " << sched.id() << " wake bound "
+                    << sched.nextDue() << " passes warp " << warp->id()
+                    << "'s wake " << warp->wakeCycle();
+                fail("warp-readiness", oss.str(), cta, sm_id, now);
+            }
+        }
+    }
+
     // Policy-specific invariants: PCRF chains, ACRF accounting, monitor
     // legality, SRP holdings — whatever the bound scheme maintains.
     gpu.policy().audit(sm, now);

@@ -37,15 +37,10 @@ classifyWarp(const Warp &warp, Cycle now)
         return WarpStall::Barrier;
     if (warp.earliestIssue() > now)
         return WarpStall::IssueShadow;
-    if (warp.pastEnd())
-        return WarpStall::Issuable; // retires at next pick
-    const Instruction &instr = warp.currentInstr();
-    Scoreboard &sb = const_cast<Scoreboard &>(warp.scoreboard());
-    if (sb.readyCycle(instr, now) <= now)
-        return WarpStall::Issuable;
-    return warp.scoreboard().blockedOnMemory(instr, now)
-               ? WarpStall::Memory
-               : WarpStall::Execution;
+    if (warp.operandReadyCycle() <= now)
+        return WarpStall::Issuable; // past the end: retires at next pick
+    return warp.memoryHorizon() > now ? WarpStall::Memory
+                                      : WarpStall::Execution;
 }
 
 } // namespace

@@ -19,18 +19,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 #include "core/experiment.hh"
-#include "energy/energy_model.hh"
 #include "sm/gpu.hh"
+#include "stats_fingerprint.hh"
 #include "workloads/suite.hh"
 
 #ifndef FINEREG_GOLDEN_DIR
@@ -88,59 +85,15 @@ const GoldenConfig kConfigs[] = {
      }},
 };
 
+/** Run @p kernel under @p config to completion and fingerprint it. */
 std::uint64_t
-fnv1a(std::string_view bytes, std::uint64_t hash)
-{
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-/** Host-strategy counters: they describe how the simulator ran, not what
- * it simulated, so the fingerprint skips them. The list mirrors the
- * perfbench harness's isHostCounter entry for entry, including names the
- * simulator no longer emits. */
-bool
-isHostCounter(std::string_view stat)
-{
-    static constexpr std::string_view kHost[] = {
-        "gpu.loop_iterations", "gpu.skipped_cycles", "gpu.wheel_pushes",
-        "gpu.wheel_pops",      "rmu.bitvec_word_ops", "verify.full_audits",
-        "verify.edge_audits"};
-    return std::find(std::begin(kHost), std::end(kHost), stat) !=
-           std::end(kHost);
-}
-
-/** FNV-1a over the stat dump (host counters skipped) and the energy
- * doubles; the same hash the perfbench harness prints. */
-std::uint64_t
-statsFingerprint(const GpuConfig &config, const Kernel &kernel)
+runFingerprint(const GpuConfig &config, const Kernel &kernel)
 {
     Gpu gpu(config, kernel);
     const GpuRunResult run = gpu.run();
     EXPECT_FALSE(run.hitCycleLimit) << kernel.name();
     EXPECT_EQ(run.completedCtas, kernel.gridCtas()) << kernel.name();
-
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    std::istringstream dump(gpu.stats().dump());
-    for (std::string line; std::getline(dump, line);) {
-        std::string_view stat(line);
-        stat = stat.substr(0, stat.find(' '));
-        stat.remove_prefix(std::string_view("gpu.").size());
-        if (!isHostCounter(stat))
-            hash = fnv1a(line, fnv1a("\n", hash));
-    }
-    const EnergyBreakdown e =
-        EnergyModel().compute(gpu.stats(), run.cycles, config.numSms);
-    for (const double v : {e.dramDyn, e.rfDyn, e.othersDyn, e.leakage,
-                           e.fineregOverhead, e.ctaSwitching}) {
-        char bytes[sizeof v];
-        std::memcpy(bytes, &v, sizeof v);
-        hash = fnv1a(std::string_view(bytes, sizeof bytes), hash);
-    }
-    return hash;
+    return statsFingerprint(gpu, run.cycles);
 }
 
 const std::string kGoldenPath = std::string(FINEREG_GOLDEN_DIR) +
@@ -208,7 +161,7 @@ TEST_P(GoldenStatsTest, EveryWorkloadMatchesItsFingerprint)
 
     for (const SuiteEntry &entry : Suite::all()) {
         const auto kernel = Suite::makeKernel(entry, kScale);
-        const std::uint64_t hash = statsFingerprint(config, *kernel);
+        const std::uint64_t hash = runFingerprint(config, *kernel);
         const std::string key = goldenKey(GetParam().name, entry.abbrev);
         if (update) {
             pinned[key] = hash;

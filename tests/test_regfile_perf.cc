@@ -2,9 +2,10 @@
  * @file
  * Hot-path regression suite (DESIGN.md §14): the perf machinery — idle
  * skip, arena-style PCRF chains, sampled auditing — must be invisible in
- * simulated results. The idle skip's cycles, traffic and end states are
- * pinned to stepping every cycle across all five policies (serially and
- * through a ParallelRunner pool), the PCRF arena is stressed through
+ * simulated results. The idle skip's stats fingerprint (every counter,
+ * distribution and energy value) and end states are pinned to stepping
+ * every cycle across all five policies (serially and through a
+ * ParallelRunner pool), the PCRF arena is stressed through
  * fragmentation churn and fault-forced PCRF-full fallbacks, and the
  * host counters in the stat group are sanity-checked so the wall-time
  * telemetry stays trustworthy.
@@ -18,6 +19,7 @@
 #include "ref/kernel_gen.hh"
 #include "regfile/pcrf.hh"
 #include "sm/gpu.hh"
+#include "stats_fingerprint.hh"
 #include "workloads/suite.hh"
 
 namespace finereg
@@ -56,6 +58,49 @@ expectSimEqual(const SimResult &a, const SimResult &b,
     EXPECT_EQ(a.dramBytesBitvec, b.dramBytesBitvec) << what;
     EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
     EXPECT_EQ(a.l1Misses, b.l1Misses) << what;
+    EXPECT_EQ(a.energy.total(), b.energy.total()) << what;
+    ASSERT_NE(a.archState, nullptr) << what;
+    ASSERT_NE(b.archState, nullptr) << what;
+    EXPECT_EQ(a.archState->fingerprint(), b.archState->fingerprint())
+        << what;
+}
+
+/** One run straight through a Gpu, fingerprinted. */
+struct FingerprintedRun
+{
+    GpuRunResult run;
+    std::uint64_t stats = 0;
+    std::shared_ptr<const ArchState> archState;
+};
+
+FingerprintedRun
+runFingerprinted(const GpuConfig &config, const Kernel &kernel)
+{
+    Gpu gpu(config, kernel);
+    FingerprintedRun out;
+    out.run = gpu.run();
+    out.stats = statsFingerprint(gpu, out.run.cycles);
+    out.archState = gpu.takeArchState();
+    return out;
+}
+
+/** Scan and step must agree on every counter, distribution and energy
+ * value (the stats fingerprint) and on the architectural end state. */
+void
+expectScanMatchesStep(const GpuConfig &config, const Kernel &kernel,
+                      const std::string &what)
+{
+    GpuConfig step = config;
+    step.idleSkip = IdleSkipMode::StepEveryCycle;
+    GpuConfig scan = config;
+    scan.idleSkip = IdleSkipMode::Scan;
+    const FingerprintedRun a = runFingerprinted(step, kernel);
+    const FingerprintedRun b = runFingerprinted(scan, kernel);
+    ASSERT_FALSE(a.run.hitCycleLimit) << what;
+    EXPECT_EQ(a.run.completedCtas, kernel.gridCtas()) << what;
+    EXPECT_EQ(a.run.cycles, b.run.cycles) << what;
+    EXPECT_EQ(a.run.instructions, b.run.instructions) << what;
+    EXPECT_EQ(a.stats, b.stats) << what << ": stats fingerprint";
     ASSERT_NE(a.archState, nullptr) << what;
     ASSERT_NE(b.archState, nullptr) << what;
     EXPECT_EQ(a.archState->fingerprint(), b.archState->fingerprint())
@@ -66,26 +111,19 @@ TEST(IdleSkipDeterminism, ScanMatchesStepEveryCycleUnderEveryPolicy)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
     for (const PolicyKind kind : kAllPolicies) {
-        const SimResult step = Simulator::run(
-            perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        const SimResult scan =
-            Simulator::run(perfConfig(kind, IdleSkipMode::Scan), *kernel);
-        expectSimEqual(step, scan, policyKindName(kind));
+        expectScanMatchesStep(perfConfig(kind, IdleSkipMode::Scan), *kernel,
+                              policyKindName(kind));
     }
 }
 
 TEST(IdleSkipDeterminism, ScanMatchesStepOnRealWorkload)
 {
     // Barriers, shared memory and divergence hit wake paths the generated
-    // kernel does not; FineReg adds CTA switching on top.
+    // kernel does not; the switching policies add CTA switching on top.
     const auto kernel = Suite::makeKernel(Suite::byName("BF"), 0.05);
-    for (const PolicyKind kind :
-         {PolicyKind::Baseline, PolicyKind::FineReg}) {
-        const SimResult step = Simulator::run(
-            perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        const SimResult scan = Simulator::run(
-            perfConfig(kind, IdleSkipMode::Scan), *kernel);
-        expectSimEqual(step, scan, policyKindName(kind));
+    for (const PolicyKind kind : kAllPolicies) {
+        expectScanMatchesStep(perfConfig(kind, IdleSkipMode::Scan), *kernel,
+                              policyKindName(kind));
     }
 }
 
@@ -112,6 +150,29 @@ TEST(IdleSkipDeterminism, SerialAndParallelScanRunsAreIdentical)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         expectSimEqual(a[i], b[i], "job " + std::to_string(i));
+
+    // Every counter too: fingerprint each policy's run on the pool.
+    std::vector<std::uint64_t> pooled_prints(std::size(kAllPolicies));
+    std::vector<ParallelRunner::Job> fingerprint_jobs;
+    for (std::size_t i = 0; i < pooled_prints.size(); ++i) {
+        fingerprint_jobs.push_back([&, i] {
+            pooled_prints[i] =
+                runFingerprinted(perfConfig(kAllPolicies[i],
+                                            IdleSkipMode::Scan),
+                                 *kernel)
+                    .stats;
+            return SimResult{};
+        });
+    }
+    pooled.run(std::move(fingerprint_jobs));
+    for (std::size_t i = 0; i < pooled_prints.size(); ++i) {
+        EXPECT_EQ(pooled_prints[i],
+                  runFingerprinted(perfConfig(kAllPolicies[i],
+                                              IdleSkipMode::Scan),
+                                   *kernel)
+                      .stats)
+            << policyKindName(kAllPolicies[i]);
+    }
 }
 
 TEST(IdleSkipDeterminism, ScanMatchesStepUnderFaultInjection)
@@ -121,16 +182,10 @@ TEST(IdleSkipDeterminism, ScanMatchesStepUnderFaultInjection)
     // fault-forced PCRF-full fallback must replay identically whether the
     // clock skips idle cycles or steps through them.
     const auto kernel = Suite::makeKernel(Suite::byName("HS"), 0.05);
-    GpuConfig step = perfConfig(PolicyKind::FineReg,
-                                IdleSkipMode::StepEveryCycle);
-    step.verify.fault.seed = 0xfa011;
-    step.verify.fault.pcrfFullProb = 0.25;
-    GpuConfig scan = step;
-    scan.idleSkip = IdleSkipMode::Scan;
-
-    const SimResult a = Simulator::run(step, *kernel);
-    const SimResult b = Simulator::run(scan, *kernel);
-    expectSimEqual(a, b, "finereg/faulted");
+    GpuConfig config = perfConfig(PolicyKind::FineReg, IdleSkipMode::Scan);
+    config.verify.fault.seed = 0xfa011;
+    config.verify.fault.pcrfFullProb = 0.25;
+    expectScanMatchesStep(config, *kernel, "finereg/faulted");
 }
 
 TEST(HostPerf, ScanSkipsCyclesAndStepDoesNot)

@@ -159,15 +159,18 @@ TEST_F(SmFixture, TakeFinishedDrains)
 TEST_F(SmFixture, MemoryKernelStallsOnUse)
 {
     build(memoryKernel());
+    sm->enableStallTracking();
     Cta *cta = sm->launchCta(0, 0);
     // After both warps issue their loads, the CTA must become fully
-    // stalled on memory (the FADD consumers block).
+    // stalled on memory (the FADD consumers block): a stall window opens.
     bool saw_stall = false;
     runUntil([&](Cycle now) {
-        saw_stall = saw_stall || cta->fullyStalledOnMemory(now);
+        for (const Cta *opened : sm->openedStallWindows(now))
+            saw_stall = saw_stall || (opened == cta && cta->stalledAt(now));
         return cta->state() == CtaState::Done;
     });
     EXPECT_TRUE(saw_stall);
+    EXPECT_GE(cta->stallWindow().episode, 1u);
 }
 
 TEST_F(SmFixture, SuspendRemovesFromSchedulers)

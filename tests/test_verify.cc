@@ -264,6 +264,43 @@ TEST(InvariantAuditorTest, DetectsPendingReadyMirrorDrift)
     }
 }
 
+TEST(InvariantAuditorTest, DetectsScoreboardWriteBehindTheReadinessCache)
+{
+    const auto kernel = Suite::makeKernel(Suite::byName("MC"), 0.05);
+    GpuConfig config = smallConfig(PolicyKind::Baseline);
+    config.maxCycles = 500;
+    Gpu gpu(config, *kernel);
+    ASSERT_TRUE(gpu.run().hitCycleLimit);
+    InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+
+    // A write the issue stage never saw: the warp's cached wake is stale.
+    Sm &sm = *gpu.sms()[0];
+    ASSERT_FALSE(sm.activeCtaList().empty());
+    Warp &warp = *sm.activeCtaList().front()->warps()[0];
+    ASSERT_FALSE(warp.finished());
+    ASSERT_FALSE(warp.pastEnd());
+    const Instruction &instr = warp.currentInstr();
+    const int reg = instr.srcs[0] >= 0 ? instr.srcs[0] : instr.dst;
+    ASSERT_GE(reg, 0);
+    warp.scoreboard().recordWrite(static_cast<RegIndex>(reg),
+                                  gpu.nowCycle() + 10000, true);
+    try {
+        InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+        FAIL() << "expected a warp-readiness violation";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.error().kind, SimErrorKind::InvariantViolation);
+        EXPECT_EQ(e.error().invariant, "warp-readiness");
+        EXPECT_EQ(e.error().sm, 0u);
+        EXPECT_NE(e.error().message.find("scoreboard says"),
+                  std::string::npos)
+            << e.error().message;
+    }
+
+    // Refreshing the cache (as an issue does) makes the SM consistent.
+    warp.refreshReadiness();
+    InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+}
+
 // ---- Deadlock watchdog -----------------------------------------------------
 
 TEST(Watchdog, WedgedRunProducesDiagnosticInsteadOfCycleCap)
